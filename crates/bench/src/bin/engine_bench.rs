@@ -16,8 +16,6 @@
 //!   --watch             also run the continuous-verification window
 //!                       (watch60 re-runs dozens of full forwarding
 //!                       analyses — minutes of wall time — so it is opt-in)
-//!   --threads <list>    comma-separated worker counts for the sharded
-//!                       scaling matrix (default 1,2,4,8)
 //!   --obs-json <path>   dump the merged mfv-obs snapshot of the last
 //!                       iteration of every scenario
 //!   --obs-exclude-wall  omit the wall section from the obs dump, making it
@@ -28,8 +26,9 @@ use std::fs;
 use std::process::ExitCode;
 
 use mfv_bench::{
-    engine_scenarios, percentile_ms, run_engine_scenario, run_engine_scenario_sharded,
-    run_watch_scenario, sharded_scenarios, watch_scenario, EngineRunStats, WatchRunStats,
+    cluster_scenarios, engine_scenarios, percentile_ms, run_engine_scenario,
+    run_engine_scenario_on_cluster, run_watch_scenario, watch_scenario, EngineRunStats,
+    WatchRunStats,
 };
 
 struct Args {
@@ -38,7 +37,6 @@ struct Args {
     out: String,
     baseline: Option<String>,
     watch: bool,
-    threads: Vec<usize>,
     obs_json: Option<String>,
     obs_wall: bool,
 }
@@ -50,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_emulator.json".to_string(),
         baseline: None,
         watch: false,
-        threads: Vec::new(),
         obs_json: None,
         obs_wall: true,
     };
@@ -59,20 +56,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--watch" => args.watch = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad --threads {v}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.threads.is_empty() {
-                    return Err("--threads needs at least one count".into());
-                }
-            }
             "--iters" => {
                 let v = it.next().ok_or("--iters needs a value")?;
                 args.iters = v.parse().map_err(|_| format!("bad --iters {v}"))?;
@@ -86,13 +69,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.iters == 0 {
         args.iters = if args.smoke { 1 } else { 5 };
-    }
-    if args.threads.is_empty() {
-        args.threads = if args.smoke {
-            vec![1, 2]
-        } else {
-            vec![1, 2, 4, 8]
-        };
     }
     Ok(args)
 }
@@ -220,65 +196,34 @@ fn main() -> ExitCode {
         }
     }
 
-    // Sharded-engine scaling matrix: each scenario boots on a multi-machine
-    // cluster (one shard per machine) and runs to convergence once per
-    // worker-thread count. Work counters and the converged dataplane digest
-    // are asserted byte-identical across the whole matrix — threads are an
-    // execution knob, never a behaviour knob — so only wall time varies.
-    for (name, snapshot, machines, shards) in &sharded_scenarios(args.smoke) {
-        let mut cells: Vec<String> = Vec::new();
-        let mut reference: Option<mfv_bench::ShardedRunStats> = None;
-        for &threads in &args.threads {
-            let run = run_engine_scenario_sharded(snapshot, 1, *machines, threads, *shards);
-            let wall_ms = run.stats.wall.as_secs_f64() * 1_000.0;
-            let events_per_sec =
-                run.stats.events_processed as f64 / run.stats.wall.as_secs_f64().max(1e-9);
-            eprintln!(
-                "engine_bench: {name} x{threads}: {wall_ms:.1} ms, {} shards, {} processed ({events_per_sec:.0} events/s), digest {:016x}, converged={}",
-                run.shards, run.stats.events_processed, run.digest, run.stats.converged
-            );
-            if !run.stats.converged {
-                eprintln!(
-                    "engine_bench: FAIL — scenario {name} did not converge at {threads} threads"
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(reference) = &reference {
-                if reference.digest != run.digest
-                    || reference.stats.events_processed != run.stats.events_processed
-                    || reference.stats.messages_delivered != run.stats.messages_delivered
-                {
-                    eprintln!(
-                        "engine_bench: FAIL — {name} diverged at {threads} threads (digest {:016x} vs {:016x})",
-                        run.digest, reference.digest
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            cells.push(format!(
-                "\"{threads}\": {{\"wall_ms\": {}, \"events_per_sec\": {}}}",
-                json_f64(wall_ms),
-                json_f64(events_per_sec)
-            ));
-            if reference.is_none() {
-                obs.merge(run.stats.obs.clone());
-                reference = Some(run);
-            }
+    // Multi-machine scenarios, up to the paper's 1,000 routers: one run
+    // each. They stay out of `total_events`: that counter (and the
+    // pre-overhaul baseline it is compared against) covers the classic
+    // single-machine suite only.
+    for (name, snapshot, machines) in &cluster_scenarios(args.smoke) {
+        let run = run_engine_scenario_on_cluster(snapshot, 1, *machines);
+        let wall_ms = run.stats.wall.as_secs_f64() * 1_000.0;
+        let events_per_sec =
+            run.stats.events_processed as f64 / run.stats.wall.as_secs_f64().max(1e-9);
+        eprintln!(
+            "engine_bench: {name}: {wall_ms:.1} ms, {} processed ({events_per_sec:.0} events/s), digest {:016x}, converged={}",
+            run.stats.events_processed, run.digest, run.stats.converged
+        );
+        if !run.stats.converged {
+            eprintln!("engine_bench: FAIL — scenario {name} did not converge");
+            return ExitCode::FAILURE;
         }
-        // Matrix scenarios stay out of `total_events`: that counter (and
-        // the pre-overhaul baseline it is compared against) covers the
-        // classic single-machine suite only.
-        let run = reference.expect("matrix has at least one thread count");
+        obs.merge(run.stats.obs.clone());
         rows.push(format!(
-            "    \"{name}\": {{\"machines\": {machines}, \"shards\": {}, \"routers\": {}, \"digest\": \"{:016x}\", \"digest_identical_across_threads\": true, \"events_processed\": {}, \"events_scheduled\": {}, \"messages_delivered\": {}, \"converged\": {}, \"threads\": {{{}}}}}",
-            run.shards,
+            "    \"{name}\": {{\"machines\": {machines}, \"routers\": {}, \"digest\": \"{:016x}\", \"events_processed\": {}, \"events_scheduled\": {}, \"messages_delivered\": {}, \"converged\": {}, \"wall_ms\": {}, \"events_per_sec\": {}}}",
             snapshot.topology.nodes.len(),
             run.digest,
             run.stats.events_processed,
             run.stats.events_scheduled,
             run.stats.messages_delivered,
             run.stats.converged,
-            cells.join(", "),
+            json_f64(wall_ms),
+            json_f64(events_per_sec),
         ));
     }
 
@@ -323,14 +268,6 @@ fn main() -> ExitCode {
     doc.push_str(&format!("  \"smoke\": {},\n", args.smoke));
     doc.push_str(&format!("  \"iterations\": {},\n", args.iters));
     doc.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    doc.push_str(&format!(
-        "  \"thread_matrix\": [{}],\n",
-        args.threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
     doc.push_str(&format!("  \"watch_enabled\": {},\n", args.watch));
     doc.push_str("  \"scenarios\": {\n");
     doc.push_str(&rows.join(",\n"));

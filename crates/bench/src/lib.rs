@@ -9,9 +9,7 @@ use mfv_core::{
     BackendMeta, DiffFinding, EmulationBackend, ModelBackend, Snapshot,
 };
 use mfv_dataplane::Dataplane;
-use mfv_emulator::{
-    outcome_distribution, run_seeds, Cluster, Emulation, EmulationConfig, ShardMode,
-};
+use mfv_emulator::{outcome_distribution, run_seeds, Cluster, Emulation, EmulationConfig};
 use mfv_model::UnrecognizedKind;
 use mfv_types::{IpSet, NodeId, SimDuration};
 use mfv_vrouter::{VendorBugs, VendorProfile};
@@ -486,69 +484,41 @@ pub fn run_engine_scenario(snapshot: &Snapshot, seed: u64) -> EngineRunStats {
     }
 }
 
-/// One sharded-engine run: the usual stats plus the converged dataplane
-/// digest (for cross-thread-count byte-identity checks) and the shard
-/// count the partitioner actually produced.
-pub struct ShardedRunStats {
+/// One multi-machine run: the usual stats plus the converged dataplane
+/// digest.
+pub struct ClusterRunStats {
     pub stats: EngineRunStats,
     pub digest: u64,
-    pub shards: usize,
 }
 
-/// The sharded-engine scaling suite, each entry `(name, snapshot,
+/// The multi-machine scaling suite, each entry `(name, snapshot,
 /// machines)`. `cluster1000` is the paper's 1,000-router deployment,
 /// modelled as a 20-region WAN (50 routers per region: IS-IS + route
 /// reflection inside each region, an eBGP ring between them) packed onto a
-/// 17-machine cluster; `grid60_sharded` is the §5 grid cut across four
-/// machines so the thread matrix has a mid-size point. Smoke mode swaps in
-/// a 12-router three-region slice on two machines so CI boots the same
-/// code path — region partitioning, cross-shard eBGP, policed
+/// 17-machine cluster; `grid60_cluster4` is the §5 grid on four machines.
+/// Smoke mode swaps in a 12-router three-region slice on two machines so
+/// CI boots the same code path — cross-region eBGP, policed
 /// redistribution — in seconds.
-pub fn sharded_scenarios(smoke: bool) -> Vec<(&'static str, Snapshot, usize, ShardMode)> {
-    // A machine packs 64 router pods, so the small scenarios would collapse
-    // to one placement-derived shard; they pin a Fixed cut instead so the
-    // matrix exercises the barrier pool. `cluster1000` overflows 16
-    // machines and uses the honest placement partition.
+pub fn cluster_scenarios(smoke: bool) -> Vec<(&'static str, Snapshot, usize)> {
     if smoke {
-        vec![(
-            "cluster12",
-            scenarios::regional_wan(3, 4),
-            2,
-            ShardMode::Fixed(2),
-        )]
+        vec![("cluster12", scenarios::regional_wan(3, 4), 2)]
     } else {
         vec![
-            (
-                "grid60_sharded",
-                scenarios::isis_grid(10, 6),
-                4,
-                ShardMode::Fixed(4),
-            ),
-            (
-                "cluster1000",
-                scenarios::regional_wan(20, 50),
-                17,
-                ShardMode::Auto,
-            ),
+            ("grid60_cluster4", scenarios::isis_grid(10, 6), 4),
+            ("cluster1000", scenarios::regional_wan(20, 50), 17),
         ]
     }
 }
 
-/// Like [`run_engine_scenario`], but on an `machines`-machine cluster with
-/// the engine's worker pool sized to `threads` (shards follow the cluster
-/// placement). Thread count is an execution knob, never a behaviour knob,
-/// so callers assert the returned digest is identical across the matrix.
-pub fn run_engine_scenario_sharded(
+/// Like [`run_engine_scenario`], but on a `machines`-machine cluster, and
+/// also returning the converged dataplane digest.
+pub fn run_engine_scenario_on_cluster(
     snapshot: &Snapshot,
     seed: u64,
     machines: usize,
-    threads: usize,
-    shards: ShardMode,
-) -> ShardedRunStats {
+) -> ClusterRunStats {
     let cfg = EmulationConfig {
         seed,
-        threads,
-        shards,
         ..Default::default()
     };
     let cluster = if machines <= 1 {
@@ -568,10 +538,9 @@ pub fn run_engine_scenario_sharded(
         messages_delivered: report.messages_delivered,
         obs: emu.export_obs(),
     };
-    ShardedRunStats {
+    ClusterRunStats {
         stats,
         digest: emu.dataplane().digest(),
-        shards: emu.shard_count(),
     }
 }
 

@@ -117,8 +117,8 @@ pub struct EmulationBackend {
     pub collector: Collector,
     /// Pre-boot static-analysis gate (tiered verification).
     pub conflint: ConflintGate,
-    /// Worker threads for the sharded engine (`0` = host parallelism,
-    /// `1` = sequential). Never affects results, only wall time.
+    /// Ignored: the engine runs one event loop on the calling thread. Kept
+    /// only because the pipeline benchmark still sets it.
     pub threads: usize,
 }
 
@@ -180,7 +180,6 @@ impl EmulationBackend {
             profile_overrides: self.profiles.clone(),
             inject_after_boot: true,
             chaos: self.chaos.clone(),
-            threads: self.threads,
             ..Default::default()
         };
         let mut emu = Emulation::new(

@@ -6,34 +6,22 @@
 //! replays identically, and different seeds reorder message arrivals — which
 //! is exactly the non-determinism surface §6 of the paper discusses.
 //!
-//! # Sharded conservative-lookahead execution
+//! # One event loop
 //!
-//! The topology is partitioned into [`Shard`]s (by default one per
-//! simulated cluster machine — the paper's §5 deployment cut), each owning
-//! its own event heap and wake sets. The coordinator advances the fleet in
-//! conservative time windows: with `T_i` the earliest pending work in shard
-//! `i` and `W` the minimum cross-shard link latency (capped by the 2 ms
-//! BGP segment floor), shard `i` may safely process every event strictly
-//! before `min_{j≠i}(T_j) + W`, because nothing another shard has yet to
-//! do can produce an arrival earlier than that. Within a window shards run
-//! independently — on one thread or many (`EmulationConfig::threads`) —
-//! and cross-shard messages ride per-shard outboxes that the coordinator
-//! drains at the window barrier.
+//! Every event lives on one heap in one [`EventLoop`]. The coordinator
+//! (`drive`) runs the loop up to cuts at exact sim instants: each chaos
+//! timeline instant, the next pod-ready instant during boot, and the
+//! earliest instant the quiet period could end. Between runs it applies
+//! what must happen at those instants — chaos, boot completion, feed
+//! activation, the churn gate, the convergence verdict — so they land on
+//! the same instant in every replay. Same `(topology, seed, plan)` ⇒
+//! byte-identical dataplanes, AFT dumps, and obs exports.
 //!
-//! Determinism does not depend on the thread count: events carry
-//! content-derived keys `(time, origin, origin_seq)` that are globally
-//! unique, so draining outboxes in any order produces the same heap order;
-//! RNG streams are per-entity, not per-thread; and everything cross-cutting
-//! (chaos timeline, boot completion, feed activation, churn gating,
-//! convergence) is applied by the coordinator at window boundaries cut to
-//! exact sim instants. Same `(topology, seed, plan, shard layout)` ⇒
-//! byte-identical dataplanes, AFT dumps, and obs exports at any thread
-//! count, including 1.
+//! Threads pay only across whole emulations: multi-seed runs
+//! (`crate::parallel`) put each seed on its own worker.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::Ipv4Addr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -45,27 +33,9 @@ use mfv_vrouter::{VendorProfile, VirtualRouter};
 
 use crate::chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict};
 use crate::cluster::{Cluster, PodRequest, Unschedulable};
+use crate::event_loop::{stream_seed, EndInfo, EventKind, EventLoop, ImpairWindow, Net, Owner};
 use crate::inject::{synthetic_prefixes, ExternalPeer};
-use crate::pool::{effective_threads, lock_or_recover, panic_message, with_workers};
-use crate::shard::{
-    stream_seed, Ev, EvKey, EventKind, EventTally, ImpairWindow, Net, Owner, Shard, CHURN_HISTORY,
-    CHURN_PREFIX_CAP, GLOBAL_ORIGIN,
-};
 use crate::topology::Topology;
-
-/// How the topology is partitioned into shards.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShardMode {
-    /// One shard per simulated cluster machine that hosts at least one pod
-    /// — the placement the paper's §5 deployment would give each k8s node.
-    /// A single-machine cluster therefore runs exactly like the classic
-    /// single-heap engine.
-    Auto,
-    /// Exactly `n` shards of contiguous, equally-sized node ranges (in
-    /// interned name order). Used by benches to scale the thread matrix
-    /// independently of the cluster model.
-    Fixed(usize),
-}
 
 /// Emulation tuning knobs.
 #[derive(Clone, Debug)]
@@ -90,12 +60,9 @@ pub struct EmulationConfig {
     /// run; see [`ChaosPlan`] for what can be scheduled. Events referencing
     /// unknown links/nodes/machines are inert.
     pub chaos: ChaosPlan,
-    /// Worker threads for window execution. `1` (the default) runs shards
-    /// sequentially with zero synchronization; `0` means "host
-    /// parallelism". The thread count never affects results.
+    /// Ignored: the engine runs one event loop on the calling thread. Kept
+    /// only because the pipeline benchmark still sets it.
     pub threads: usize,
-    /// Shard partitioning rule. The default reuses the cluster placement.
-    pub shards: ShardMode,
 }
 
 impl Default for EmulationConfig {
@@ -109,7 +76,6 @@ impl Default for EmulationConfig {
             inject_after_boot: true,
             chaos: ChaosPlan::default(),
             threads: 1,
-            shards: ShardMode::Auto,
         }
     }
 }
@@ -135,13 +101,11 @@ pub struct RunReport {
     pub messages_delivered: u64,
     /// Routing-process crashes observed.
     pub crashes: u64,
-    /// Work items processed: heap events plus demand-driven wake polls.
-    /// Link-flap notifications are replicated into both endpoint shards,
-    /// so chaos-heavy runs count slightly more items than the single-heap
-    /// engine did — identically so at every thread count.
+    /// Work items processed: heap events, demand-driven wake polls, and
+    /// coordinator timeline actions.
     pub events_processed: u64,
-    /// Events pushed onto the priority queues. Under demand-driven polling
-    /// wake requests never enter a heap, so this counts only real work
+    /// Events pushed onto the priority queue. Under demand-driven polling
+    /// wake requests never enter the heap, so this counts only real work
     /// (deliveries, boot completions, restarts, chaos) — the engine's
     /// scheduling-cost metric tracked by the bench rig.
     pub events_scheduled: u64,
@@ -162,7 +126,7 @@ struct LinkRecord {
 }
 
 /// A coordinator-timeline entry: chaos that must fire at an exact global
-/// instant, applied at a window boundary cut to that instant.
+/// instant, applied at a run cut to that instant.
 enum GlobalAction {
     Link { slot: Option<usize>, up: bool },
     Kill(Option<NodeRef>),
@@ -172,13 +136,13 @@ enum GlobalAction {
 /// Changes a prefix needs within the recent window to count as oscillating.
 const OSCILLATION_MIN_CHANGES: usize = 4;
 
-/// Coordinator-owned mutable state: everything the barrier logic touches
-/// that is not inside a [`Shard`] or the read-only [`Net`].
+/// Coordinator-owned state: everything the cut logic touches that is not
+/// inside the [`EventLoop`] or the read-only [`Net`].
 struct Global {
     cfg: EmulationConfig,
     cluster: Cluster,
-    /// Dedicated stream for boot/reschedule jitter, independent of shard
-    /// message jitter so placement is a pure function of `(seed, topology)`.
+    /// Dedicated stream for boot/reschedule jitter, independent of message
+    /// jitter so placement is a pure function of `(seed, topology)`.
     cluster_rng: ChaCha8Rng,
     node_total: usize,
     ext_total: usize,
@@ -188,61 +152,48 @@ struct Global {
     /// entries apply in plan order.
     timeline: BTreeMap<(SimTime, u64), GlobalAction>,
     timeline_ord: u64,
-    /// Sequence counter for coordinator-originated events (origin 0).
-    oseq: u64,
     chaos_pending: usize,
-    /// Chaos replicas injected into shards; quiescence requires every one
-    /// processed (`Σ shard.chaos_processed` catches up) — a fault applied
-    /// to the canonical state but not yet felt by its shard is in flight.
-    chaos_injected: u64,
     /// Scheduled-but-unfired PodReady instants per node (the coordinator
     /// schedules every one itself, so boot completion is detected at exact
-    /// sim instants regardless of shard layout). A node evicted by a
-    /// machine failure keeps any already-scheduled future instant — the
-    /// stale event still boots a fresh router, as it did on one heap.
+    /// sim instants). A node evicted by a machine failure keeps any
+    /// already-scheduled future instant — the stale event still boots a
+    /// fresh router.
     pending_ready: BTreeMap<NodeRef, BTreeSet<SimTime>>,
-    /// Mirror of the shards' ready marks.
+    /// Nodes whose pod-ready instant has passed.
     ready: BTreeSet<NodeRef>,
     now: SimTime,
-    /// Latest processed event instant across all shards (the "how far did
-    /// the run actually get" clock used by the oscillation post-mortem).
+    /// Latest instant the run had reached at a cut: processed events, fired
+    /// timeline instants, and earlier cut edges (the "how far did the run
+    /// actually get" clock used by the oscillation post-mortem).
     t_max: SimTime,
     booted: bool,
     boot_complete_at: Option<SimTime>,
     feeds_done_at: Option<SimTime>,
-    ext_done_count: usize,
-    /// Instant the most recent external feed finished draining.
-    last_ext_done: SimTime,
-    /// Whether the steady-state churn gate has been announced to the
-    /// shards. Once boot and feed flooding are both complete, each shard
-    /// gets `churn_from` and folds its own change records inside its
-    /// windows; the coordinator never gathers churn at a barrier again.
+    /// Whether the steady-state churn gate has been announced to the loop.
+    /// Once boot and feed flooding are both complete, the loop gets
+    /// `churn_from` and folds its own change records at each run end.
     churn_gate_set: bool,
     unschedulable: Vec<Unschedulable>,
-    tally: EventTally,
-    events_scheduled: u64,
-    events_processed: u64,
-    last_activity: SimTime,
+    /// Coordinator milestones (chaos, boot, flood). Kept apart from the
+    /// loop's journal because a milestone is only known after its instant
+    /// has run; the export ranks it first among same-instant entries.
     journal: Journal,
     phases: SimPhases,
     wall: WallSection,
-    /// Conservative lookahead `W` in ms: min cross-shard link latency,
-    /// capped at the 2 ms BGP floor. Latencies are clamped ≥ 1 at build.
-    lookahead_ms: u64,
 }
 
 /// The running emulation.
 pub struct Emulation {
     pub topology: Topology,
     net: Net,
-    shards: Vec<Shard>,
+    sim: EventLoop,
     glob: Global,
 }
 
-/// What the coordinator decided at a barrier.
+/// What the coordinator decided at a cut.
 enum Plan {
-    /// Run one window: per-shard exclusive end instants.
-    Run(Vec<SimTime>),
+    /// Run the loop up to this exclusive end instant.
+    Run(SimTime),
     /// Quiescent for a full quiet period before anything else is due.
     Converged(SimTime),
     /// No work within the deadline (and not provably converged).
@@ -300,13 +251,12 @@ impl Emulation {
             let bn = interner.intern_node(&l.b_node);
             let bi = interner.intern_iface(&l.b_iface);
             let slot = links.len();
-            // Latency clamp ≥ 1 ms: a zero-latency link would let one
-            // shard's output land in another shard's current instant,
-            // collapsing the conservative lookahead to zero.
+            // Latency clamp ≥ 1 ms: a frame never lands in the instant it
+            // was sent.
             let latency_ms = l.latency_ms.max(1);
             ends.insert(
                 (an, ai),
-                crate::shard::EndInfo {
+                EndInfo {
                     peer: bn,
                     peer_iface: bi,
                     latency_ms,
@@ -315,7 +265,7 @@ impl Emulation {
             );
             ends.insert(
                 (bn, bi),
-                crate::shard::EndInfo {
+                EndInfo {
                     peer: an,
                     peer_iface: ai,
                     latency_ms,
@@ -367,27 +317,24 @@ impl Emulation {
             ends,
             link_ends: links.iter().map(|l| (l.a, l.b)).collect(),
             ip_owner,
-            node_shard: Vec::new(),
-            ext_shard: Vec::new(),
             seed,
             auto_restart: cfg.auto_restart_crashed,
             impairments: Vec::new(),
             link_impair: vec![Vec::new(); links.len()],
             pair_impair: BTreeMap::new(),
         };
+        let sim = EventLoop::new(&net, links.len(), topology.external_peers.len());
         let glob = Global {
             cfg,
             cluster,
             cluster_rng,
             node_total,
-            ext_total: 0,
+            ext_total: topology.external_peers.len(),
             links,
             link_index,
             timeline: BTreeMap::new(),
             timeline_ord: 0,
-            oseq: 0,
             chaos_pending: 0,
-            chaos_injected: 0,
             pending_ready: BTreeMap::new(),
             ready: BTreeSet::new(),
             now: SimTime::ZERO,
@@ -395,23 +342,16 @@ impl Emulation {
             booted: false,
             boot_complete_at: None,
             feeds_done_at: None,
-            ext_done_count: 0,
-            last_ext_done: SimTime::ZERO,
             churn_gate_set: false,
             unschedulable: Vec::new(),
-            tally: EventTally::default(),
-            events_scheduled: 0,
-            events_processed: 0,
-            last_activity: SimTime::ZERO,
             journal: Journal::new(),
             phases: SimPhases::new(),
             wall: WallSection::new(),
-            lookahead_ms: 2,
         };
         Ok(Emulation {
             topology,
             net,
-            shards: Vec::new(),
+            sim,
             glob,
         })
     }
@@ -420,14 +360,9 @@ impl Emulation {
         self.glob.now
     }
 
-    fn shard_of(&self, node: NodeRef) -> Option<usize> {
-        self.net.node_shard.get(node.index()).copied()
-    }
-
     pub fn router(&self, node: &NodeId) -> Option<&VirtualRouter> {
         let r = self.net.interner.resolve_node(node)?;
-        let sid = self.shard_of(r)?;
-        self.shards.get(sid)?.routers.get(r.index())?.as_ref()
+        self.sim.routers.get(r.index())?.as_ref()
     }
 
     /// Runs an operator CLI command on a node (SSH-to-the-emulated-router).
@@ -436,17 +371,13 @@ impl Emulation {
             .map(|r| mfv_vrouter::cli::exec(r, command))
     }
 
-    /// Submits all pods to the cluster, cuts the shard partition from the
-    /// resulting placement, builds the shards, and wires external peers.
-    /// Called implicitly by the run entry points.
+    /// Submits all pods to the cluster, schedules their boot events, and
+    /// wires external peers. Called implicitly by the run entry points.
     fn boot(&mut self) {
         if self.glob.booted {
             return;
         }
         self.glob.booted = true;
-        let node_count = self.net.interner.node_count();
-        // Schedule every pod; remember which machine each landed on.
-        let mut machine_of: Vec<Option<String>> = vec![None; node_count];
         for i in 0..self.topology.nodes.len() {
             let name = self.topology.nodes[i].name.clone();
             let Some(node_ref) = self.net.interner.resolve_node(&name) else {
@@ -467,7 +398,6 @@ impl Emulation {
                 &mut self.glob.cluster_rng,
             ) {
                 Ok(placement) => {
-                    machine_of[node_ref.index()] = Some(placement.machine.clone());
                     self.glob
                         .pending_ready
                         .entry(node_ref)
@@ -479,77 +409,11 @@ impl Emulation {
                 }
             }
         }
-        // Cut the partition.
-        let node_shard: Vec<usize> = match self.glob.cfg.shards {
-            ShardMode::Fixed(n) => {
-                let n = n.clamp(1, node_count.max(1));
-                let per = node_count.div_ceil(n).max(1);
-                (0..node_count).map(|i| (i / per).min(n - 1)).collect()
+        // Boot events, in (node, instant) order.
+        for (&node, etas) in &self.glob.pending_ready {
+            for &eta in etas {
+                self.sim.schedule_global(eta, EventKind::PodReady(node));
             }
-            ShardMode::Auto => {
-                let mut shard_of_machine: BTreeMap<String, usize> = BTreeMap::new();
-                for (name, pods) in self.glob.cluster.packing() {
-                    if pods > 0 {
-                        let next = shard_of_machine.len();
-                        shard_of_machine.entry(name).or_insert(next);
-                    }
-                }
-                (0..node_count)
-                    .map(|i| {
-                        machine_of[i]
-                            .as_ref()
-                            .and_then(|m| shard_of_machine.get(m))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .collect()
-            }
-        };
-        let shard_count = node_shard.iter().copied().max().map(|m| m + 1).unwrap_or(1);
-        self.net.node_shard = node_shard;
-        // Lookahead: min latency over links whose endpoints live in
-        // different shards, capped by the 2 ms BGP segment floor (iBGP
-        // sessions may connect any two routers regardless of links).
-        let mut lookahead = 2u64;
-        for rec in &self.glob.links {
-            let sa = self.net.node_shard.get(rec.a.0.index()).copied();
-            let sb = self.net.node_shard.get(rec.b.0.index()).copied();
-            if sa != sb {
-                if let Some(end) = self.net.ends.get(&rec.a) {
-                    lookahead = lookahead.min(end.latency_ms);
-                }
-            }
-        }
-        self.glob.lookahead_ms = lookahead.max(1);
-        self.glob.ext_total = self.topology.external_peers.len();
-        self.net.ext_shard = self
-            .topology
-            .external_peers
-            .iter()
-            .map(|spec| {
-                self.net
-                    .interner
-                    .resolve_node(&spec.attach_to)
-                    .and_then(|r| self.net.node_shard.get(r.index()))
-                    .copied()
-                    .unwrap_or(0)
-            })
-            .collect();
-        // Build shards (each copies the canonical link state — operator
-        // `set_link` calls may precede boot).
-        let link_state: Vec<bool> = self.glob.links.iter().map(|l| l.up).collect();
-        self.shards = (0..shard_count)
-            .map(|id| Shard::new(id, &self.net, link_state.clone()))
-            .collect();
-        // Inject boot events.
-        let pending: Vec<(NodeRef, SimTime)> = self
-            .glob
-            .pending_ready
-            .iter()
-            .flat_map(|(&n, etas)| etas.iter().map(move |&e| (n, e)))
-            .collect();
-        for (node, eta) in pending {
-            self.inject_global(node, eta, EventKind::PodReady(node));
         }
         // External peers.
         for idx in 0..self.topology.external_peers.len() {
@@ -590,48 +454,16 @@ impl Emulation {
                 .ip_owner
                 .entry(addr)
                 .or_insert(Owner::External(idx));
-            let sid = self.net.ext_shard.get(idx).copied().unwrap_or(0);
-            if let Some(shard) = self.shards.get_mut(sid) {
-                shard.install_external(idx, peer);
-            }
-        }
-        // Feeds that were born drained count as done immediately.
-        for shard in &mut self.shards {
-            for (_idx, t) in shard.take_ext_done_transitions() {
-                self.glob.ext_done_count += 1;
-                self.glob.last_ext_done = self.glob.last_ext_done.max(t);
-            }
+            self.sim.install_external(idx, peer);
         }
         if !self.glob.cfg.inject_after_boot {
-            for shard in &mut self.shards {
-                shard.activate_feeds(SimTime(1_000));
-            }
+            self.sim.activate_feeds(SimTime(1_000));
         }
         // Chaos schedule: expand the plan into the coordinator timeline up
         // front so the whole fault timeline is part of the deterministic
-        // window structure.
+        // cut structure.
         let plan = self.glob.cfg.chaos.clone();
         expand_chaos(&mut self.glob, &mut self.net, plan);
-    }
-
-    /// Schedules a coordinator-originated event into a node's shard.
-    fn inject_global(&mut self, node: NodeRef, at: SimTime, kind: EventKind) {
-        let Some(sid) = self.net.node_shard.get(node.index()).copied() else {
-            return;
-        };
-        self.glob.oseq += 1;
-        self.glob.events_scheduled += 1;
-        let ev = Ev {
-            key: EvKey {
-                time: at,
-                origin: GLOBAL_ORIGIN,
-                oseq: self.glob.oseq,
-            },
-            kind,
-        };
-        if let Some(shard) = self.shards.get_mut(sid) {
-            shard.inject(ev);
-        }
     }
 
     /// Injects a chaos schedule into a running emulation. Before boot the
@@ -661,25 +493,18 @@ impl Emulation {
     /// items processed during this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.boot();
-        let before = self.total_processed();
-        {
-            let Emulation {
-                ref net,
-                ref mut shards,
-                ref mut glob,
-                ..
-            } = *self;
-            drive(glob, net, shards, deadline, false, None);
-        }
-        for shard in &mut self.shards {
-            shard.advance_clock(deadline);
-        }
+        let before = self.sim.events_processed;
+        drive(
+            &mut self.glob,
+            &self.net,
+            &mut self.sim,
+            deadline,
+            false,
+            None,
+        );
+        self.sim.advance_clock(deadline);
         self.glob.now = self.glob.now.max(deadline);
-        self.total_processed() - before
-    }
-
-    fn total_processed(&self) -> u64 {
-        self.glob.events_processed + self.shards.iter().map(|s| s.events_processed).sum::<u64>()
+        self.sim.events_processed - before
     }
 
     /// Runs the emulation until the dataplane is quiet (or the time cap),
@@ -699,25 +524,24 @@ impl Emulation {
         };
         self.boot();
         let deadline = SimTime(self.glob.cfg.max_sim_time.as_millis());
-        let converged = {
-            let Emulation {
-                ref net,
-                ref mut shards,
-                ref mut glob,
-                ..
-            } = *self;
-            drive(glob, net, shards, deadline, true, Some(&mut wp))
-        };
+        let converged = drive(
+            &mut self.glob,
+            &self.net,
+            &mut self.sim,
+            deadline,
+            true,
+            Some(&mut wp),
+        );
         self.glob.now = self.glob.now.max(self.glob.t_max);
         self.glob.wall.add_phase(
             "converge",
             wp.timer.elapsed_micros().saturating_sub(wp.mark),
         );
-        let last_activity = self.fold_last_activity();
+        let last_activity = self.sim.last_activity;
         let verdict = if converged {
             ConvergenceVerdict::Converged
         } else {
-            oscillation_verdict(&self.glob, &self.shards)
+            oscillation_verdict(&self.glob, &self.sim)
         };
         // Sim-time spans mirror the wall splits, derived purely from sim
         // state so replays produce identical reports.
@@ -739,21 +563,13 @@ impl Emulation {
             verdict,
             boot_complete_at: self.glob.boot_complete_at,
             converged_at: last_activity,
-            messages_delivered: self.shards.iter().map(|s| s.messages_delivered).sum(),
-            crashes: self.shards.iter().map(|s| s.crashes).sum(),
-            events_processed: self.total_processed(),
-            events_scheduled: self.glob.events_scheduled
-                + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
+            messages_delivered: self.sim.messages_delivered,
+            crashes: self.sim.crashes,
+            events_processed: self.sim.events_processed,
+            events_scheduled: self.sim.events_scheduled,
             unschedulable: self.glob.unschedulable.clone(),
             phases: self.glob.phases.clone(),
         }
-    }
-
-    fn fold_last_activity(&self) -> SimTime {
-        self.shards
-            .iter()
-            .map(|s| s.last_activity)
-            .fold(self.glob.last_activity, |a, b| a.max(b))
     }
 
     /// Applies a configuration change to a running node (config push) and
@@ -772,14 +588,9 @@ impl Emulation {
             return Ok(());
         };
         let now = self.glob.now;
-        let Some(sid) = self.net.node_shard.get(node_ref.index()).copied() else {
-            return Ok(());
-        };
-        let Some(shard) = self.shards.get_mut(sid) else {
-            return Ok(());
-        };
-        shard.advance_clock(now);
-        if let Some(router) = shard
+        let sim = &mut self.sim;
+        sim.advance_clock(now);
+        if let Some(router) = sim
             .routers
             .get_mut(node_ref.index())
             .and_then(|s| s.as_mut())
@@ -788,9 +599,8 @@ impl Emulation {
             for addr in router.addresses() {
                 self.net.ip_owner.insert(addr, Owner::Node(node_ref));
             }
-            shard.last_activity = shard.last_activity.max(now);
-            shard.schedule_poll(node_ref, SimTime(now.0 + 1));
-            self.glob.last_activity = self.glob.last_activity.max(now);
+            sim.last_activity = sim.last_activity.max(now);
+            sim.schedule_poll(node_ref, SimTime(now.0 + 1));
         }
         Ok(())
     }
@@ -801,25 +611,11 @@ impl Emulation {
         let Some(&slot) = self.glob.link_index.get(link) else {
             return;
         };
-        let now = self.glob.now;
-        let mut sids: Vec<usize> = Vec::new();
         if let Some(rec) = self.glob.links.get_mut(slot) {
             rec.up = up;
-            for (node, _) in [rec.a, rec.b] {
-                if let Some(&sid) = self.net.node_shard.get(node.index()) {
-                    if !sids.contains(&sid) {
-                        sids.push(sid);
-                    }
-                }
-            }
         }
-        for sid in sids {
-            if let Some(shard) = self.shards.get_mut(sid) {
-                shard.advance_clock(now);
-                shard.apply_link(&self.net, slot, up);
-            }
-        }
-        self.glob.last_activity = self.glob.last_activity.max(now);
+        self.sim.advance_clock(self.glob.now);
+        self.sim.apply_link(&self.net, slot, up);
     }
 
     /// Administratively shuts a BGP session on a node.
@@ -827,38 +623,27 @@ impl Emulation {
         let Some(node_ref) = self.net.interner.resolve_node(node) else {
             return;
         };
-        let Some(sid) = self.net.node_shard.get(node_ref.index()).copied() else {
-            return;
-        };
         let now = self.glob.now;
-        let Some(shard) = self.shards.get_mut(sid) else {
-            return;
-        };
-        shard.advance_clock(now);
-        if let Some(router) = shard
+        let sim = &mut self.sim;
+        sim.advance_clock(now);
+        if let Some(router) = sim
             .routers
             .get_mut(node_ref.index())
             .and_then(|s| s.as_mut())
         {
             router.shutdown_bgp_session(peer, now);
-            shard.last_activity = shard.last_activity.max(now);
-            shard.schedule_poll(node_ref, SimTime(now.0 + 1));
-            self.glob.last_activity = self.glob.last_activity.max(now);
+            sim.last_activity = sim.last_activity.max(now);
+            sim.schedule_poll(node_ref, SimTime(now.0 + 1));
         }
     }
 
     /// Extracts the current dataplane snapshot (the AFT dump step).
     /// `NodeRef` order is name order, so the walk matches the old
-    /// string-keyed map's iteration byte for byte — at any shard layout.
+    /// string-keyed map's iteration byte for byte.
     pub fn dataplane(&self) -> Dataplane {
         let mut dp = Dataplane::new();
         for r in self.net.interner.node_refs() {
-            let Some(router) = self
-                .shard_of(r)
-                .and_then(|sid| self.shards.get(sid))
-                .and_then(|s| s.routers.get(r.index()))
-                .and_then(|slot| slot.as_ref())
-            else {
+            let Some(router) = self.sim.routers.get(r.index()).and_then(|s| s.as_ref()) else {
                 continue;
             };
             let Some(name) = self.net.interner.node(r) else {
@@ -879,14 +664,14 @@ impl Emulation {
         dp
     }
 
-    /// The merged steady-state churn tracker: per prefix, the retained
-    /// dataplane-change instants. The merge is order-independent, so this
-    /// dump is byte-identical across thread counts for the same run —
-    /// determinism tests digest it alongside the dataplane.
+    /// The steady-state churn tracker: per prefix, the retained
+    /// dataplane-change instants. Determinism tests digest it alongside
+    /// the dataplane.
     pub fn churn_dump(&self) -> BTreeMap<Prefix, Vec<SimTime>> {
-        merge_churn(self.shards.iter().map(|s| &s.churn))
-            .into_iter()
-            .map(|(p, q)| (p, q.into_iter().collect()))
+        self.sim
+            .churn
+            .iter()
+            .map(|(p, q)| (*p, q.iter().copied().collect()))
             .collect()
     }
 
@@ -895,23 +680,21 @@ impl Emulation {
         self.glob.cluster.packing()
     }
 
-    /// The number of shards the partition produced (0 before boot).
+    /// Always 1: the engine runs one event loop. Kept only because the
+    /// pipeline benchmark still reads it.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        1
     }
 
     /// Flushes the engine's plain-field counters — plus per-router
     /// aggregates from every live [`VirtualRouter`] — into an [`Obs`]
-    /// snapshot. Per-shard state merges in shard-index order (journals by
-    /// `(time, shard, local order)`), so everything except the `wall`
-    /// section is derived from sim state only and two same-seed runs export
-    /// byte-identical `to_json(false)` dumps at any thread count.
+    /// snapshot. Everything except the `wall` section is derived from sim
+    /// state only, so two same-seed runs export byte-identical
+    /// `to_json(false)` dumps.
     pub fn export_obs(&self) -> Obs {
         let mut obs = Obs::new();
-        let mut tally = self.glob.tally;
-        for s in &self.shards {
-            tally.absorb(&s.tally);
-        }
+        let sim = &self.sim;
+        let tally = sim.tally;
         let m = &mut obs.metrics;
         m.inc("engine.events.pod_ready", tally.pod_ready);
         m.inc("engine.events.deliver_isis", tally.deliver_isis);
@@ -921,20 +704,10 @@ impl Emulation {
         m.inc("engine.events.chaos_link", tally.chaos_link);
         m.inc("engine.events.chaos_kill", tally.chaos_kill);
         m.inc("engine.events.chaos_fail_machine", tally.chaos_fail_machine);
-        m.inc(
-            "engine.events.scheduled",
-            self.glob.events_scheduled
-                + self.shards.iter().map(|s| s.events_scheduled).sum::<u64>(),
-        );
-        m.inc("engine.events.processed", self.total_processed());
-        m.inc(
-            "engine.messages.delivered",
-            self.shards.iter().map(|s| s.messages_delivered).sum(),
-        );
-        m.inc(
-            "engine.crashes",
-            self.shards.iter().map(|s| s.crashes).sum(),
-        );
+        m.inc("engine.events.scheduled", sim.events_scheduled);
+        m.inc("engine.events.processed", sim.events_processed);
+        m.inc("engine.messages.delivered", sim.messages_delivered);
+        m.inc("engine.crashes", sim.crashes);
         m.inc("engine.polls.router", tally.router_polls);
         m.inc("engine.polls.external", tally.ext_polls);
         m.inc("engine.impair.dropped", tally.impair_dropped);
@@ -943,10 +716,9 @@ impl Emulation {
         m.gauge("engine.nodes", self.topology.nodes.len() as i64);
         m.gauge("engine.links", self.glob.links.len() as i64);
         m.gauge("engine.unschedulable", self.glob.unschedulable.len() as i64);
-        m.gauge("engine.shards", self.shards.len() as i64);
-        for s in &self.shards {
-            m.merge_hist("engine.wake_depth", &s.wake_depth);
-        }
+        // Always 1; the gauge stays so the export keeps its shape.
+        m.gauge("engine.shards", 1);
+        m.merge_hist("engine.wake_depth", &sim.wake_depth);
 
         // Per-router aggregates (routers evicted by machine failures or
         // not yet booted contribute nothing). Walk in NodeRef order.
@@ -958,15 +730,7 @@ impl Emulation {
         let mut bgp_transitions = 0u64;
         let mut isis_transitions = 0u64;
         let mut running = 0i64;
-        for r in self.net.interner.node_refs() {
-            let Some(router) = self
-                .shard_of(r)
-                .and_then(|sid| self.shards.get(sid))
-                .and_then(|s| s.routers.get(r.index()))
-                .and_then(|slot| slot.as_ref())
-            else {
-                continue;
-            };
+        for router in sim.routers.iter().flatten() {
             decode_errors += router.decode_errors;
             encode_errors += router.encode_errors;
             rib_resyncs += router.rib_resyncs;
@@ -993,24 +757,17 @@ impl Emulation {
         obs
     }
 
-    /// Interleaves the coordinator journal and every shard journal into
-    /// one ring, ordered by `(time, source rank, local order)` — the
-    /// coordinator (chaos, boot milestones) ranks before shards at the
-    /// same instant, matching heap order where coordinator-origin events
-    /// sort first.
+    /// Interleaves the coordinator journal and the loop's journal into one
+    /// ring, ordered by `(time, source, local order)`: a coordinator
+    /// milestone ranks before loop entries at the same instant, matching
+    /// heap order, where coordinator-origin events sort first.
     fn merged_journal(&self) -> Journal {
-        let mut entries: Vec<(SimTime, usize, usize, &mfv_obs::journal::Event)> = Vec::new();
-        for (idx, e) in self.glob.journal.events().enumerate() {
-            entries.push((e.at, 0, idx, e));
-        }
-        for (sid, s) in self.shards.iter().enumerate() {
-            for (idx, e) in s.journal.events().enumerate() {
-                entries.push((e.at, sid + 1, idx, e));
-            }
-        }
-        entries.sort_by_key(|(at, rank, idx, _)| (*at, *rank, *idx));
+        let coordinator = self.glob.journal.events().enumerate().map(|e| (0, e));
+        let event_loop = self.sim.journal.events().enumerate().map(|e| (1, e));
+        let mut entries: Vec<_> = coordinator.chain(event_loop).collect();
+        entries.sort_by_key(|(rank, (idx, e))| (e.at, *rank, *idx));
         let mut out = Journal::new();
-        for (_, _, _, e) in entries {
+        for (_, (_, e)) in entries {
             out.push(e.at, e.kind, e.detail.clone());
         }
         out
@@ -1089,11 +846,11 @@ fn expand_chaos(glob: &mut Global, net: &mut Net, plan: ChaosPlan) {
 /// The watchdog's post-mortem when the time budget expires: prefixes that
 /// kept changing right up to the end mean the network is *oscillating*,
 /// not converging slowly.
-fn oscillation_verdict(glob: &Global, shards: &[Shard]) -> ConvergenceVerdict {
+fn oscillation_verdict(glob: &Global, sim: &EventLoop) -> ConvergenceVerdict {
     let window = glob.cfg.quiet_period.saturating_mul(4);
     let now = glob.now;
-    let churn = merge_churn(shards.iter().map(|s| &s.churn));
-    let mut churning: Vec<(&Prefix, &VecDeque<SimTime>)> = churn
+    let mut churning: Vec<(&Prefix, &VecDeque<SimTime>)> = sim
+        .churn
         .iter()
         .filter(|(_, q)| {
             q.len() >= OSCILLATION_MIN_CHANGES
@@ -1121,178 +878,59 @@ fn oscillation_verdict(glob: &Global, shards: &[Shard]) -> ConvergenceVerdict {
     ConvergenceVerdict::Oscillating { period, prefixes }
 }
 
-/// Worker commands for the persistent window pool.
-#[derive(Clone, Copy)]
-enum Cmd {
-    Window,
-    Stop,
-}
-
-/// Runs the window loop to `deadline`. Returns whether the run converged
-/// (always `false` when `converge` is off — `run_until` has no watchdog).
+/// Runs the event loop from cut to cut up to `deadline`. Returns whether
+/// the run converged (always `false` when `converge` is off — `run_until`
+/// has no watchdog).
 fn drive(
     glob: &mut Global,
     net: &Net,
-    shards: &mut [Shard],
+    sim: &mut EventLoop,
     deadline: SimTime,
     converge: bool,
     mut wall: Option<&mut WallProgress>,
 ) -> bool {
-    if shards.is_empty() {
-        return false;
-    }
-    let threads = effective_threads(glob.cfg.threads, shards.len());
-    let cells: Vec<Mutex<&mut Shard>> = shards.iter_mut().map(Mutex::new).collect();
-    if threads <= 1 {
-        loop {
-            match plan(glob, net, &cells, deadline, converge) {
-                Plan::Run(ends) => {
-                    for (i, cell) in cells.iter().enumerate() {
-                        let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                        lock_or_recover(cell).run_window(net, end);
-                    }
-                    settle(glob, net, &cells, &ends, deadline);
-                    if let Some(wp) = wall.as_deref_mut() {
-                        mark_wall(glob, wp);
-                    }
+    loop {
+        match plan(glob, net, sim, deadline, converge) {
+            Plan::Run(end) => {
+                sim.run_to(net, end);
+                settle(glob, sim, end, deadline);
+                if let Some(wp) = wall.as_deref_mut() {
+                    mark_wall(glob, wp);
                 }
-                Plan::Converged(at) => {
-                    glob.now = glob.now.max(at);
-                    return true;
-                }
-                Plan::Done => return false,
             }
+            Plan::Converged(at) => {
+                glob.now = glob.now.max(at);
+                return true;
+            }
+            Plan::Done => return false,
         }
     }
-    // Persistent worker pool: one command + two barriers per dispatched
-    // window. Workers take shards round-robin by index; shard state lives
-    // behind per-shard mutexes that are only ever locked by one side of a
-    // barrier at a time.
-    let cmd: Mutex<Cmd> = Mutex::new(Cmd::Window);
-    let ends_shared: Mutex<Vec<SimTime>> = Mutex::new(Vec::new());
-    let start = Barrier::new(threads + 1);
-    let finish = Barrier::new(threads + 1);
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let cells_ref = &cells;
-    with_workers(
-        threads,
-        |w| loop {
-            start.wait();
-            let c = *lock_or_recover(&cmd);
-            match c {
-                Cmd::Stop => break,
-                Cmd::Window => {
-                    let ends: Vec<SimTime> = lock_or_recover(&ends_shared).clone();
-                    // A panic is confined to this window and reported at
-                    // the barrier — the worker must always reach it, or
-                    // the coordinator would deadlock.
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        for i in (w..cells_ref.len()).step_by(threads) {
-                            let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                            lock_or_recover(&cells_ref[i]).run_window(net, end);
-                        }
-                    }));
-                    if let Err(p) = r {
-                        lock_or_recover(&panics).push((w, panic_message(p)));
-                    }
-                    finish.wait();
-                }
-            }
-        },
-        || {
-            let lead = catch_unwind(AssertUnwindSafe(|| loop {
-                match plan(glob, net, cells_ref, deadline, converge) {
-                    Plan::Run(ends) => {
-                        // Fast path: when only one shard has due work in
-                        // this window, run it inline — no barrier round
-                        // trip for the whole pool.
-                        let mut active = 0usize;
-                        let mut only = 0usize;
-                        for (i, cell) in cells_ref.iter().enumerate() {
-                            let due = lock_or_recover(cell).next_due();
-                            let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-                            if due.map(|d| d < end).unwrap_or(false) {
-                                active += 1;
-                                only = i;
-                            }
-                        }
-                        if active <= 1 {
-                            if active == 1 {
-                                let end = ends.get(only).copied().unwrap_or(SimTime::ZERO);
-                                lock_or_recover(&cells_ref[only]).run_window(net, end);
-                            }
-                        } else {
-                            *lock_or_recover(&ends_shared) = ends.clone();
-                            *lock_or_recover(&cmd) = Cmd::Window;
-                            start.wait();
-                            finish.wait();
-                            let mut p = std::mem::take(&mut *lock_or_recover(&panics));
-                            if !p.is_empty() {
-                                p.sort_by_key(|e| e.0);
-                                let msg: Vec<String> =
-                                    p.iter().map(|(w, m)| format!("[worker {w}] {m}")).collect();
-                                panic!("shard window panicked: {}", msg.join("; "));
-                            }
-                        }
-                        settle(glob, net, cells_ref, &ends, deadline);
-                        if let Some(wp) = wall.as_deref_mut() {
-                            mark_wall(glob, wp);
-                        }
-                    }
-                    Plan::Converged(at) => {
-                        glob.now = glob.now.max(at);
-                        break true;
-                    }
-                    Plan::Done => break false,
-                }
-            }));
-            // Release the pool no matter how the loop ended; a lead panic
-            // must not leave workers parked on the start barrier.
-            *lock_or_recover(&cmd) = Cmd::Stop;
-            start.wait();
-            match lead {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            }
-        },
-    )
 }
 
-/// One coordinator barrier: fire due timeline actions, decide convergence,
-/// or plan the next window's per-shard end instants.
+/// One cut: fire due timeline actions, decide convergence, or pick the
+/// instant the next run stops before.
 fn plan(
     glob: &mut Global,
     net: &Net,
-    cells: &[Mutex<&mut Shard>],
+    sim: &mut EventLoop,
     deadline: SimTime,
     converge: bool,
 ) -> Plan {
     loop {
-        let mut dues: Vec<Option<SimTime>> = Vec::with_capacity(cells.len());
-        let mut last_act = glob.last_activity;
-        let mut pending_restarts = 0usize;
-        let mut chaos_done = 0u64;
-        for cell in cells {
-            let s = lock_or_recover(cell);
-            dues.push(s.next_due());
-            last_act = last_act.max(s.last_activity);
-            pending_restarts += s.pending_restarts;
-            chaos_done += s.chaos_processed;
-        }
-        let shard_due = dues.iter().flatten().min().copied();
+        let sim_due = sim.next_due();
         let glob_due = glob.timeline.keys().next().map(|&(t, _)| t);
-        let t = [shard_due, glob_due].into_iter().flatten().min();
+        let t = [sim_due, glob_due].into_iter().flatten().min();
+        let last_act = sim.last_activity;
         if converge {
             // The quiet rule is a pure function of processed content
             // (activity times, readiness, feed/chaos state) and the next
-            // due instant — never of the window structure — so every
-            // layout and thread count reaches the same verdict.
+            // due instant.
             let quiescent = glob.ready.len()
                 == glob.node_total.saturating_sub(glob.unschedulable.len())
-                && glob.ext_done_count == glob.ext_total
-                && pending_restarts == 0
+                && sim.feeds_done == glob.ext_total
+                && sim.pending_restarts == 0
                 && glob.chaos_pending == 0
-                && glob.chaos_injected == chaos_done;
+                && sim.chaos_in_flight == 0;
             let quiet_at = last_act + glob.cfg.quiet_period;
             if quiescent && quiet_at <= deadline && t.map(|t| quiet_at < t).unwrap_or(true) {
                 return Plan::Converged(quiet_at);
@@ -1306,27 +944,26 @@ fn plan(
         }
         if glob_due == Some(t) {
             // Fire every timeline action at exactly `t` (in plan order)
-            // before any shard event at `t` — coordinator-origin events
-            // sort first within the heaps, so replicas injected here still
+            // before any loop event at `t` — coordinator-origin events
+            // sort first on the heap, so events scheduled here still
             // precede same-instant traffic.
-            for cell in cells {
-                lock_or_recover(cell).advance_clock(t);
-            }
+            sim.advance_clock(t);
             while let Some((&(ti, ord), _)) = glob.timeline.iter().next() {
                 if ti != t {
                     break;
                 }
                 if let Some(action) = glob.timeline.remove(&(ti, ord)) {
-                    apply_global(glob, net, cells, t, action);
+                    apply_global(glob, net, sim, t, action);
                 }
             }
             glob.t_max = glob.t_max.max(t);
-            continue; // injections/evictions changed the due picture
+            continue; // new events and evictions changed the due picture
         }
-        // Window ends. Shard i may run while every event it could receive
-        // is still in the future: arrivals from shard j happen no earlier
-        // than due_j + W.
-        let w = glob.lookahead_ms;
+        // Cut at the next timeline instant, just past the next pod-ready
+        // instant during boot (so boot completion lands on its exact
+        // instant), and — in converge mode — just past the earliest
+        // possible convergence instant, so a converged run doesn't burn
+        // sim-time to the cap.
         let next_glob = glob_due.map(|g| g.0).unwrap_or(u64::MAX);
         let boot_cut = if glob.boot_complete_at.is_none() {
             glob.pending_ready
@@ -1338,69 +975,35 @@ fn plan(
         } else {
             u64::MAX
         };
-        // In converge mode, stop at the earliest possible convergence
-        // instant so a converged run doesn't burn sim-time to the cap.
         let quiet_cut = if converge {
             (last_act + glob.cfg.quiet_period).0.saturating_add(1)
         } else {
             u64::MAX
         };
-        let hard = deadline
+        let end = deadline
             .0
             .saturating_add(1)
             .min(next_glob)
             .min(boot_cut)
             .min(quiet_cut)
             .max(t.0.saturating_add(1)); // always admit the due instant
-        let single = cells.len() == 1;
-        let ends: Vec<SimTime> = (0..cells.len())
-            .map(|i| {
-                let others = dues
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .filter_map(|(_, d)| *d)
-                    .min();
-                let e = if single {
-                    u64::MAX
-                } else {
-                    others.map(|o| o.0.saturating_add(w)).unwrap_or(u64::MAX)
-                };
-                SimTime(e.min(hard))
-            })
-            .collect();
-        return Plan::Run(ends);
+        return Plan::Run(SimTime(end));
     }
 }
 
-/// Applies one timeline action at instant `t` (every shard clock is
-/// already advanced to `t`).
+/// Applies one timeline action at instant `t` (the loop's clock is already
+/// advanced to `t`).
 fn apply_global(
     glob: &mut Global,
     net: &Net,
-    cells: &[Mutex<&mut Shard>],
+    sim: &mut EventLoop,
     t: SimTime,
     action: GlobalAction,
 ) {
-    glob.events_processed += 1;
-    let inject = |glob: &mut Global, sid: usize, at: SimTime, kind: EventKind| {
-        glob.oseq += 1;
-        glob.events_scheduled += 1;
-        let ev = Ev {
-            key: EvKey {
-                time: at,
-                origin: GLOBAL_ORIGIN,
-                oseq: glob.oseq,
-            },
-            kind,
-        };
-        if let Some(cell) = cells.get(sid) {
-            lock_or_recover(cell).inject(ev);
-        }
-    };
+    sim.events_processed += 1;
     match action {
         GlobalAction::Link { slot, up } => {
-            glob.tally.chaos_link += 1;
+            sim.tally.chaos_link += 1;
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
             // Unknown links (slot None) are inert.
             let Some(slot) = slot else { return };
@@ -1411,45 +1014,31 @@ fn apply_global(
             };
             let detail = glob
                 .links
-                .get(slot)
-                .map(|r| r.id.to_string())
+                .get_mut(slot)
+                .map(|rec| {
+                    rec.up = up;
+                    rec.id.to_string()
+                })
                 .unwrap_or_default();
             glob.journal.push(t, kind, detail);
-            let mut sids: Vec<usize> = Vec::new();
-            if let Some(rec) = glob.links.get_mut(slot) {
-                rec.up = up;
-                for (node, _) in [rec.a, rec.b] {
-                    if let Some(&sid) = net.node_shard.get(node.index()) {
-                        if !sids.contains(&sid) {
-                            sids.push(sid);
-                        }
-                    }
-                }
-            }
-            // Replicate to the endpoint shards: each updates its local
-            // link-state copy and pokes its local endpoint router(s).
-            for sid in sids {
-                glob.chaos_injected += 1;
-                inject(glob, sid, t, EventKind::ChaosLink { slot, up });
-            }
+            // The loop updates its link state and pokes the endpoint
+            // routers when the event runs.
+            sim.chaos_in_flight += 1;
+            sim.schedule_global(t, EventKind::ChaosLink { slot, up });
         }
         GlobalAction::Kill(node) => {
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
             match node {
                 // Unknown node: inert, but still tallied as fired.
-                None => glob.tally.chaos_kill += 1,
+                None => sim.tally.chaos_kill += 1,
                 Some(node) => {
-                    if let Some(&sid) = net.node_shard.get(node.index()) {
-                        glob.chaos_injected += 1;
-                        inject(glob, sid, t, EventKind::ChaosKillRouter(node));
-                    } else {
-                        glob.tally.chaos_kill += 1;
-                    }
+                    sim.chaos_in_flight += 1;
+                    sim.schedule_global(t, EventKind::ChaosKillRouter(node));
                 }
             }
         }
         GlobalAction::FailMachine(name) => {
-            glob.tally.chaos_fail_machine += 1;
+            sim.tally.chaos_fail_machine += 1;
             glob.chaos_pending = glob.chaos_pending.saturating_sub(1);
             let evicted = glob.cluster.fail_machine(&name);
             glob.journal.push(
@@ -1460,20 +1049,12 @@ fn apply_global(
             for req in evicted {
                 // The pod (and its router) is gone; the scheduler
                 // resubmits it onto surviving machines, and the usual
-                // PodReady path boots a fresh instance — in the node's
-                // original shard (the partition is a simulation artifact
-                // cut once at boot).
+                // PodReady path boots a fresh instance.
                 let Some(node) = net.interner.resolve_node(&req.pod) else {
                     continue;
                 };
-                let Some(&sid) = net.node_shard.get(node.index()) else {
-                    continue;
-                };
-                if let Some(cell) = cells.get(sid) {
-                    lock_or_recover(cell).evict_node(node, t);
-                }
+                sim.evict_node(node, t);
                 glob.ready.remove(&node);
-                glob.last_activity = glob.last_activity.max(t);
                 let Some(profile) = net.profiles.get(node.index()).cloned() else {
                     continue;
                 };
@@ -1486,7 +1067,7 @@ fn apply_global(
                             .entry(node)
                             .or_default()
                             .insert(placement.ready_at);
-                        inject(glob, sid, placement.ready_at, EventKind::PodReady(node));
+                        sim.schedule_global(placement.ready_at, EventKind::PodReady(node));
                     }
                     Err(e) => {
                         glob.unschedulable.push(e);
@@ -1497,47 +1078,16 @@ fn apply_global(
     }
 }
 
-/// Post-window barrier work: route cross-shard traffic, fold shard-local
-/// facts (activity, churn, feed completion, boot readiness) into the
-/// coordinator's content-determined global view.
-fn settle(
-    glob: &mut Global,
-    net: &Net,
-    cells: &[Mutex<&mut Shard>],
-    ends: &[SimTime],
-    deadline: SimTime,
-) {
-    let mut inbox: Vec<(usize, Ev)> = Vec::new();
-    let mut transitions: Vec<(usize, SimTime)> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let mut s = lock_or_recover(cell);
-        glob.t_max = glob.t_max.max(s.now());
-        glob.last_activity = glob.last_activity.max(s.last_activity);
-        inbox.append(&mut s.outbox);
-        transitions.extend(s.take_ext_done_transitions());
-        let end = ends.get(i).copied().unwrap_or(SimTime::ZERO);
-        s.advance_clock(SimTime(end.0.min(deadline.0)));
-    }
-    // Cross-shard deliveries: injection order is irrelevant — event keys
-    // are globally unique, so each destination heap reaches the same total
-    // order no matter which thread produced what first.
-    for (dest, ev) in inbox {
-        if let Some(cell) = cells.get(dest) {
-            lock_or_recover(cell).inject(ev);
-        }
-    }
-    transitions.sort();
-    for (_idx, done_at) in transitions {
-        glob.ext_done_count += 1;
-        glob.last_ext_done = glob.last_ext_done.max(done_at);
-    }
-    // Boot readiness: every scheduled PodReady instant inside its shard's
-    // processed horizon has fired. Mark in (instant, node) order so boot
-    // completion lands on the exact completing instant.
+/// Post-run cut work: fold what the loop just did (feed completion, boot
+/// readiness, churn) into the coordinator's view, at exact instants.
+fn settle(glob: &mut Global, sim: &mut EventLoop, end: SimTime, deadline: SimTime) {
+    glob.t_max = glob.t_max.max(sim.now());
+    sim.advance_clock(SimTime(end.0.min(deadline.0)));
+    // Boot readiness: every scheduled PodReady instant before the cut has
+    // fired. Mark in (instant, node) order so boot completion lands on the
+    // exact completing instant.
     let mut fired: Vec<(SimTime, NodeRef)> = Vec::new();
     for (&node, etas) in glob.pending_ready.iter_mut() {
-        let sid = net.node_shard.get(node.index()).copied().unwrap_or(0);
-        let end = ends.get(sid).copied().unwrap_or(SimTime::ZERO);
         let (done, still): (BTreeSet<SimTime>, BTreeSet<SimTime>) =
             etas.iter().partition(|e| **e < end);
         for e in done {
@@ -1557,10 +1107,7 @@ fn settle(
                 format!("{} pods ready", glob.ready.len()),
             );
             if glob.cfg.inject_after_boot {
-                let at = SimTime(eta.0 + 1_000);
-                for cell in cells {
-                    lock_or_recover(cell).activate_feeds(at);
-                }
+                sim.activate_feeds(SimTime(eta.0 + 1_000));
             }
         }
     }
@@ -1569,74 +1116,36 @@ fn settle(
     if glob.boot_complete_at.is_some()
         && glob.feeds_done_at.is_none()
         && glob.ext_total > 0
-        && glob.ext_done_count == glob.ext_total
+        && sim.feeds_done == glob.ext_total
     {
         if let Some(boot_at) = glob.boot_complete_at {
-            let at = boot_at.max(glob.last_ext_done);
+            let at = boot_at.max(sim.last_feed_done);
             glob.feeds_done_at = Some(at);
             glob.journal
                 .push(at, "engine.flood_complete", "external feeds drained");
         }
     }
     // Steady-state churn gate. Until boot and feed flooding both complete,
-    // buffered change records are pre-convergence noise — dropped here, as
-    // before. The barrier that first knows the steady instant announces it
-    // to every shard and folds the detection window's records (which may
-    // already contain steady-state changes); from then on each shard folds
-    // its own records in parallel at its window end, and this barrier does
-    // no per-window churn work at all.
+    // buffered change records are pre-convergence noise and are dropped.
+    // The cut that first knows the steady instant announces it to the loop
+    // and folds the records buffered so far (which may already contain
+    // steady-state changes); from then on the loop folds its own records
+    // at each run end.
     if !glob.churn_gate_set {
         match glob.boot_complete_at {
-            Some(boot_at) if glob.ext_done_count == glob.ext_total => {
-                let steady = boot_at.max(glob.last_ext_done);
+            Some(boot_at) if sim.feeds_done == glob.ext_total => {
                 glob.churn_gate_set = true;
-                for cell in cells {
-                    let mut s = lock_or_recover(cell);
-                    s.churn_from = Some(steady);
-                    s.fold_churn();
-                }
+                sim.churn_from = Some(boot_at.max(sim.last_feed_done));
+                sim.fold_churn();
             }
-            _ => {
-                for cell in cells {
-                    lock_or_recover(cell).churn_buf.clear();
-                }
-            }
+            _ => sim.churn_buf.clear(),
         }
     }
-}
-
-/// Merges the per-shard bounded churn trackers into one global view at the
-/// post-mortem. Order-independent by construction: every record carries its
-/// `(instant, node)` stamp, all records for a prefix are re-sorted and
-/// re-capped to the last [`CHURN_HISTORY`], and the prefix cap keeps the
-/// first [`CHURN_PREFIX_CAP`] prefixes in address order — so shard
-/// iteration order (and therefore layout and thread count) cannot affect
-/// the result. Per-shard truncation composes exactly: a record a shard
-/// dropped had ≥ `CHURN_HISTORY` newer records in that shard alone, so it
-/// could never survive the merged cap either.
-fn merge_churn<'a>(
-    shards: impl IntoIterator<Item = &'a BTreeMap<Prefix, VecDeque<(SimTime, u32)>>>,
-) -> BTreeMap<Prefix, VecDeque<SimTime>> {
-    let mut gathered: BTreeMap<Prefix, Vec<(SimTime, u32)>> = BTreeMap::new();
-    for churn in shards {
-        for (p, q) in churn {
-            gathered.entry(*p).or_default().extend(q.iter().copied());
-        }
-    }
-    gathered
-        .into_iter()
-        .take(CHURN_PREFIX_CAP)
-        .map(|(p, mut recs)| {
-            recs.sort_unstable();
-            let skip = recs.len().saturating_sub(CHURN_HISTORY);
-            (p, recs.into_iter().skip(skip).map(|(at, _)| at).collect())
-        })
-        .collect()
 }
 
 /// Wall-clock phase splits for `run_until_converged`, checked after each
-/// barrier (the only reader of the real clock; lands in the quarantined
-/// `wall` obs section).
+/// cut (the only reader of the real clock; lands in the quarantined `wall`
+/// obs section).
 fn mark_wall(glob: &mut Global, wp: &mut WallProgress) {
     if !wp.boot_done && glob.boot_complete_at.is_some() {
         wp.boot_done = true;
@@ -1649,53 +1158,5 @@ fn mark_wall(glob: &mut Global, wp: &mut WallProgress) {
         let us = wp.timer.elapsed_micros();
         glob.wall.add_phase("flood", us.saturating_sub(wp.mark));
         wp.mark = us;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(ms: u64, node: u32) -> (SimTime, u32) {
-        (SimTime(ms), node)
-    }
-
-    /// The post-mortem merge must be a pure function of the per-shard
-    /// tracker *contents*: shard order, record interleaving, and how the
-    /// records were split across shards cannot change the result.
-    #[test]
-    fn churn_merge_is_order_independent() {
-        let p1 = Prefix::from_bits(u32::from(std::net::Ipv4Addr::new(10, 0, 0, 0)), 24);
-        let p2 = Prefix::from_bits(u32::from(std::net::Ipv4Addr::new(10, 0, 1, 0)), 24);
-        let mut a: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        a.entry(p1).or_default().extend([rec(100, 0), rec(300, 0)]);
-        a.entry(p2).or_default().extend([rec(150, 1)]);
-        let mut b: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        b.entry(p1).or_default().extend([rec(200, 2), rec(400, 2)]);
-
-        let fwd = merge_churn([&a, &b]);
-        let rev = merge_churn([&b, &a]);
-        assert_eq!(fwd, rev);
-        assert_eq!(
-            fwd.get(&p1).map(|q| q.iter().copied().collect::<Vec<_>>()),
-            Some(vec![SimTime(100), SimTime(200), SimTime(300), SimTime(400)]),
-            "records interleave by instant across shards"
-        );
-
-        // Per-shard history truncation composes with the merged cap: a
-        // record a shard dropped can never reappear in the merged last-N.
-        let mut big: BTreeMap<Prefix, VecDeque<(SimTime, u32)>> = BTreeMap::new();
-        let q = big.entry(p1).or_default();
-        for i in 0..CHURN_HISTORY as u64 {
-            q.push_back(rec(1_000 + i, 3));
-        }
-        let merged = merge_churn([&a, &b, &big]);
-        let kept = merged.get(&p1).map(|q| q.len()).unwrap_or(0);
-        assert_eq!(kept, CHURN_HISTORY);
-        assert_eq!(
-            merged.get(&p1).and_then(|q| q.front().copied()),
-            Some(SimTime(1_000)),
-            "oldest survivors are the globally newest CHURN_HISTORY records"
-        );
     }
 }

@@ -1,29 +1,24 @@
-//! Per-shard engine state for the sharded conservative-lookahead runtime.
+//! The emulator's event loop: one heap, one clock.
 //!
-//! A [`Shard`] owns everything one worker thread touches during a time
-//! window: its slice of the virtual routers and external peers, its own
-//! event heap and demand-driven wake sets, per-flow FIFO clocks, and
-//! per-entity RNG streams. Everything shared and read-only during a window
-//! lives in [`Net`].
+//! [`EventLoop`] owns everything that changes as sim time advances: the
+//! virtual routers and external peers, the event heap and the
+//! demand-driven wake sets, per-flow FIFO clocks, and per-entity RNG
+//! streams. Everything the loop only reads lives in [`Net`].
 //!
 //! # Determinism contract
 //!
-//! Same `(topology, seed, plan, shard layout)` must produce byte-identical
-//! results at **any thread count**. Three design rules enforce it:
+//! Same `(topology, seed, plan)` must produce byte-identical results. Two
+//! design rules enforce it:
 //!
 //! 1. **Content-based event keys.** Events order by
 //!    `(time, origin, origin_seq)` where `origin` identifies the entity
 //!    that scheduled the event (0 = the coordinator, then nodes in interned
 //!    name order, then external peers) and `origin_seq` is that entity's
 //!    monotone counter. Keys are unique and assigned by simulation content,
-//!    never by execution order, so a heap merge of cross-shard arrivals is
-//!    a deterministic merge-sort no matter which thread delivered them.
+//!    so the heap order is total.
 //! 2. **Per-entity RNG streams.** Jitter and impairment draws come from a
 //!    `ChaCha8Rng` derived from `(seed, entity)` — not from a shared
-//!    engine RNG whose draw order would depend on scheduling.
-//! 3. **No shared mutable state inside a window.** A shard reads [`Net`]
-//!    and writes only itself; cross-shard messages go to a per-shard
-//!    outbox that the coordinator drains at the window barrier.
+//!    engine RNG whose draw order would couple unrelated entities.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -38,29 +33,26 @@ use mfv_types::{IfaceRef, Interner, NodeRef, Prefix, SimDuration, SimTime};
 use mfv_vrouter::{RouterEvent, VendorProfile, VirtualRouter};
 
 use crate::chaos::ImpairSpec;
-
-/// Most prefixes tracked per shard by the churn watchdog; arrivals past the
-/// cap are ignored (deterministically) to bound memory at production-feed
-/// scale. The post-mortem merge applies the same cap globally, in prefix
-/// order, so the merged view is independent of shard layout and count.
-pub(crate) const CHURN_PREFIX_CAP: usize = 4096;
-/// Change records retained per prefix (per shard, and again after merge).
-pub(crate) const CHURN_HISTORY: usize = 8;
 use crate::inject::ExternalPeer;
 
+/// Most prefixes tracked by the churn watchdog; arrivals past the cap are
+/// ignored (deterministically) to bound memory at production-feed scale.
+const CHURN_PREFIX_CAP: usize = 4096;
+/// Change records retained per prefix.
+const CHURN_HISTORY: usize = 8;
+
 /// Event origin rank. The coordinator's rank sorts before every entity, so
-/// boot/chaos events at an instant run before same-instant deliveries —
-/// matching the old single-heap engine where they were scheduled first.
-pub(crate) const GLOBAL_ORIGIN: u32 = 0;
+/// boot/chaos events at an instant run before same-instant deliveries.
+const GLOBAL_ORIGIN: u32 = 0;
 
 /// Deterministic content-based event key: `(time, origin, origin_seq)`.
 /// Unique per event (each origin increments its own counter), which makes
-/// every heap order — including merged cross-shard arrivals — total.
+/// the heap order total.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub(crate) struct EvKey {
-    pub time: SimTime,
-    pub origin: u32,
-    pub oseq: u64,
+struct EvKey {
+    time: SimTime,
+    origin: u32,
+    oseq: u64,
 }
 
 #[derive(Debug)]
@@ -82,8 +74,8 @@ pub(crate) enum EventKind {
         payload: Bytes,
     },
     RestartRouter(NodeRef),
-    /// Pre-resolved link slot; replicated to both endpoint shards. The
-    /// coordinator keeps the canonical link timeline for `dataplane()`.
+    /// Pre-resolved link slot. The coordinator keeps the canonical link
+    /// timeline for `dataplane()`.
     ChaosLink {
         slot: usize,
         up: bool,
@@ -91,9 +83,9 @@ pub(crate) enum EventKind {
     ChaosKillRouter(NodeRef),
 }
 
-pub(crate) struct Ev {
-    pub key: EvKey,
-    pub kind: EventKind,
+struct Ev {
+    key: EvKey,
+    kind: EventKind,
 }
 
 impl PartialEq for Ev {
@@ -137,8 +129,7 @@ pub(crate) struct ImpairWindow {
 }
 
 /// Plain-field execution counters, one per event kind plus the impairment
-/// and poll tallies — bumped on the hot path, summed across shards at
-/// `export_obs`.
+/// and poll tallies — bumped on the hot path, read by `export_obs`.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct EventTally {
     pub pod_ready: u64,
@@ -156,37 +147,17 @@ pub(crate) struct EventTally {
     pub encode_errors: u64,
 }
 
-impl EventTally {
-    pub fn absorb(&mut self, o: &EventTally) {
-        self.pod_ready += o.pod_ready;
-        self.deliver_isis += o.deliver_isis;
-        self.deliver_bgp += o.deliver_bgp;
-        self.deliver_external += o.deliver_external;
-        self.restart_router += o.restart_router;
-        self.chaos_link += o.chaos_link;
-        self.chaos_kill += o.chaos_kill;
-        self.chaos_fail_machine += o.chaos_fail_machine;
-        self.router_polls += o.router_polls;
-        self.ext_polls += o.ext_polls;
-        self.impair_dropped += o.impair_dropped;
-        self.impair_duplicated += o.impair_duplicated;
-        self.encode_errors += o.encode_errors;
-    }
-}
-
-/// Immutable-during-a-window shared state: the interned id space, parsed
-/// configs, link tables, address ownership, impairment windows, and the
-/// node→shard map. Mutated only by the coordinator between runs (config
-/// push, late chaos scheduling).
+/// State the event loop only reads: the interned id space, parsed configs,
+/// link tables, address ownership, and impairment windows. Mutated only by
+/// the coordinator between runs (config push, late chaos scheduling).
 pub(crate) struct Net {
     pub interner: Interner,
     /// Per-node vendor profile (overrides pre-applied), by `NodeRef` index.
     pub profiles: Vec<VendorProfile>,
     /// Per-node configs parsed once at `Emulation::new`.
     pub parsed_configs: Vec<mfv_config::Parsed>,
-    /// Directed link ends, pre-resolved. Latencies are clamped to ≥ 1 ms —
-    /// the conservative lookahead bound requires a strictly positive
-    /// cross-shard delay.
+    /// Directed link ends, pre-resolved. Latencies are clamped to ≥ 1 ms,
+    /// so a frame never lands in the instant it was sent.
     pub ends: BTreeMap<(NodeRef, IfaceRef), EndInfo>,
     /// Link endpoints by slot (for link up/down router notification).
     pub link_ends: Vec<((NodeRef, IfaceRef), (NodeRef, IfaceRef))>,
@@ -194,10 +165,6 @@ pub(crate) struct Net {
     /// from parsed configs (interface addresses are config-derived), so
     /// delivery routing never depends on boot order.
     pub ip_owner: BTreeMap<Ipv4Addr, Owner>,
-    /// Node → shard id (filled at boot when the partition is cut).
-    pub node_shard: Vec<usize>,
-    /// External peer → shard id (the attach node's shard).
-    pub ext_shard: Vec<usize>,
     pub seed: u64,
     pub auto_restart: bool,
     /// Active message-impairment windows with per-link / per-pair indexes.
@@ -233,58 +200,48 @@ fn ext_stream(seed: u64, idx: usize) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(stream_seed(seed, 0x2000_0000 + idx as u64))
 }
 
-/// One partition of the topology: a private event heap, wake sets, the
-/// routers and external peers placed here, link-state replicas, per-flow
-/// FIFO clocks, and per-entity RNG/sequence streams. Entity-indexed
-/// vectors are full-size (indexed by global `NodeRef`/peer index) with
-/// `None`/zero holes for non-members — O(nodes) pointers per shard.
-pub(crate) struct Shard {
-    pub id: usize,
+/// The whole running network: one event heap, wake sets, the routers and
+/// external peers, a link-state copy, per-flow FIFO clocks, and
+/// per-entity RNG/sequence streams. Entity-indexed vectors are indexed by
+/// `NodeRef` / external-peer index.
+pub(crate) struct EventLoop {
     now: SimTime,
     events: BinaryHeap<Reverse<Ev>>,
     wake: BTreeSet<(SimTime, NodeRef)>,
     next_poll: Vec<Option<SimTime>>,
     ext_wake: BTreeSet<(SimTime, usize)>,
     ext_next: Vec<Option<SimTime>>,
+    /// Booted routers (`None` until PodReady, and again after eviction).
     pub routers: Vec<Option<VirtualRouter>>,
-    pub ready_at: Vec<Option<SimTime>>,
-    pub ready_count: usize,
-    pub externals: Vec<Option<ExternalPeer>>,
-    /// When each local external feed finished draining (exact transition
-    /// instants; the coordinator folds these into `feeds_done_at`).
-    ext_done: Vec<Option<SimTime>>,
-    /// Done-transitions observed since the last barrier.
-    ext_done_new: Vec<(usize, SimTime)>,
-    pub feeds_active: bool,
-    /// Local replica of link up/down state (full link set; only links with
-    /// a local endpoint ever matter here).
+    externals: Vec<Option<ExternalPeer>>,
+    /// Feed drain transitions so far, and the instant of the latest one.
+    pub feeds_done: usize,
+    pub last_feed_done: SimTime,
+    feeds_active: bool,
+    /// Link up/down state by link slot, as the routers see it.
     link_up: Vec<bool>,
-    node_rng: Vec<Option<ChaCha8Rng>>,
-    ext_rng: Vec<Option<ChaCha8Rng>>,
+    node_rng: Vec<ChaCha8Rng>,
+    ext_rng: Vec<ChaCha8Rng>,
+    /// Sequence counter for coordinator-originated events (origin 0).
+    global_oseq: u64,
     node_oseq: Vec<u64>,
     ext_oseq: Vec<u64>,
     /// FIFO clocks: jitter may delay but never reorder messages between the
-    /// same endpoints. Flows are keyed by sender, so each flow's clock
-    /// lives in exactly one shard.
+    /// same endpoints.
     bgp_flow_clock: BTreeMap<(Ipv4Addr, Ipv4Addr), SimTime>,
     isis_link_clock: BTreeMap<(NodeRef, IfaceRef), SimTime>,
-    /// Cross-shard sends since the last barrier: `(dest shard, event)`.
-    pub outbox: Vec<(usize, Ev)>,
-    /// Raw dataplane-change records since the last fold, tagged with the
-    /// node that changed. Folded into the local `churn` tracker at each
-    /// window end once the coordinator has announced the steady instant;
-    /// discarded by the coordinator before that (pre-convergence noise).
-    pub churn_buf: Vec<(SimTime, NodeRef, BTreeSet<Prefix>)>,
+    /// Raw dataplane-change records since the last fold. Folded into
+    /// `churn` at each run end once the coordinator has announced the
+    /// steady instant; discarded by the coordinator before that
+    /// (pre-convergence noise).
+    pub churn_buf: Vec<(SimTime, BTreeSet<Prefix>)>,
     /// Steady-state gate: records before this instant never count toward
-    /// oscillation. Set exactly once, at the barrier where boot and feed
-    /// completion become known.
+    /// oscillation. Set exactly once, when boot and feed completion become
+    /// known.
     pub churn_from: Option<SimTime>,
-    /// Shard-local bounded churn tracker: per-prefix `(instant, node)`
-    /// change records, capped in both axes. Shards fold their own records
-    /// in parallel inside their windows — the coordinator never touches a
-    /// shared churn map per window; the per-shard maps are merged exactly
-    /// once, order-independently, by the oscillation post-mortem.
-    pub churn: BTreeMap<Prefix, VecDeque<(SimTime, u32)>>,
+    /// Bounded churn tracker: per-prefix change instants, capped in both
+    /// axes.
+    pub churn: BTreeMap<Prefix, VecDeque<SimTime>>,
     pub tally: EventTally,
     pub journal: Journal,
     pub wake_depth: Hist,
@@ -294,53 +251,38 @@ pub(crate) struct Shard {
     pub crashes: u64,
     pub events_processed: u64,
     pub events_scheduled: u64,
-    /// Chaos replicas (link notifications, kills) this shard has handled —
-    /// compared against the coordinator's injected count so convergence is
-    /// never declared while a fault is still in flight.
-    pub chaos_processed: u64,
+    /// Chaos events (link notifications, kills) on the heap but not yet
+    /// handled: convergence is never declared while a fault is in flight.
+    pub chaos_in_flight: u64,
 }
 
-impl Shard {
-    /// `link_up` is a copy of the coordinator's canonical link state at
-    /// build time (operator `set_link` calls may precede boot).
-    pub fn new(id: usize, net: &Net, link_up: Vec<bool>) -> Shard {
+impl EventLoop {
+    pub fn new(net: &Net, links: usize, externals: usize) -> EventLoop {
         let n = net.interner.node_count();
-        let e = net.ext_shard.len();
-        let mut node_rng: Vec<Option<ChaCha8Rng>> = (0..n).map(|_| None).collect();
-        for r in net.interner.node_refs() {
-            if net.node_shard.get(r.index()) == Some(&id) {
-                node_rng[r.index()] = Some(node_stream(net.seed, r));
-            }
-        }
-        let mut ext_rng: Vec<Option<ChaCha8Rng>> = (0..e).map(|_| None).collect();
-        for (idx, rng) in ext_rng.iter_mut().enumerate() {
-            if net.ext_shard.get(idx) == Some(&id) {
-                *rng = Some(ext_stream(net.seed, idx));
-            }
-        }
-        Shard {
-            id,
+        EventLoop {
             now: SimTime::ZERO,
             events: BinaryHeap::new(),
             wake: BTreeSet::new(),
             next_poll: vec![None; n],
             ext_wake: BTreeSet::new(),
-            ext_next: vec![None; e],
+            ext_next: vec![None; externals],
             routers: (0..n).map(|_| None).collect(),
-            ready_at: vec![None; n],
-            ready_count: 0,
-            externals: (0..e).map(|_| None).collect(),
-            ext_done: vec![None; e],
-            ext_done_new: Vec::new(),
+            externals: (0..externals).map(|_| None).collect(),
+            feeds_done: 0,
+            last_feed_done: SimTime::ZERO,
             feeds_active: false,
-            link_up,
-            node_rng,
-            ext_rng,
+            link_up: vec![true; links],
+            node_rng: net
+                .interner
+                .node_refs()
+                .map(|r| node_stream(net.seed, r))
+                .collect(),
+            ext_rng: (0..externals).map(|i| ext_stream(net.seed, i)).collect(),
+            global_oseq: 0,
             node_oseq: vec![0; n],
-            ext_oseq: vec![0; e],
+            ext_oseq: vec![0; externals],
             bgp_flow_clock: BTreeMap::new(),
             isis_link_clock: BTreeMap::new(),
-            outbox: Vec::new(),
             churn_buf: Vec::new(),
             churn_from: None,
             churn: BTreeMap::new(),
@@ -353,11 +295,11 @@ impl Shard {
             crashes: 0,
             events_processed: 0,
             events_scheduled: 0,
-            chaos_processed: 0,
+            chaos_in_flight: 0,
         }
     }
 
-    /// The shard's local clock (last processed instant or barrier edge).
+    /// The loop's clock (last processed instant or run edge).
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -370,23 +312,20 @@ impl Shard {
         [heap_t, wake_t, ext_t].into_iter().flatten().min()
     }
 
-    /// Coordinator-side insertion (cross-shard arrivals, boot events,
-    /// chaos). The scheduling counter is *not* bumped here — the sender
-    /// already counted the event when it created it.
-    pub fn inject(&mut self, ev: Ev) {
+    fn schedule(&mut self, ev: Ev) {
+        self.events_scheduled += 1;
         self.events.push(Reverse(ev));
     }
 
-    /// Schedules an event created by a local entity and counts it. Local
-    /// destinations go straight onto the heap; remote ones ride the outbox
-    /// until the coordinator drains it at the barrier.
-    fn send(&mut self, dest_shard: usize, ev: Ev) {
-        self.events_scheduled += 1;
-        if dest_shard == self.id {
-            self.events.push(Reverse(ev));
-        } else {
-            self.outbox.push((dest_shard, ev));
-        }
+    /// Schedules a coordinator-originated event (boot, chaos, reschedule).
+    pub fn schedule_global(&mut self, at: SimTime, kind: EventKind) {
+        self.global_oseq += 1;
+        let key = EvKey {
+            time: at,
+            origin: GLOBAL_ORIGIN,
+            oseq: self.global_oseq,
+        };
+        self.schedule(Ev { key, kind });
     }
 
     fn next_node_key(&mut self, net: &Net, node: NodeRef, time: SimTime) -> EvKey {
@@ -453,11 +392,17 @@ impl Shard {
     /// engine's `injection_done()` semantics.
     pub fn install_external(&mut self, idx: usize, peer: ExternalPeer) {
         let done = peer.done();
-        self.externals[idx] = Some(peer);
-        if done {
-            self.ext_done[idx] = Some(SimTime::ZERO);
-            self.ext_done_new.push((idx, SimTime::ZERO));
+        if let Some(slot) = self.externals.get_mut(idx) {
+            *slot = Some(peer);
         }
+        if done {
+            self.feed_drained(SimTime::ZERO);
+        }
+    }
+
+    fn feed_drained(&mut self, at: SimTime) {
+        self.feeds_done += 1;
+        self.last_feed_done = self.last_feed_done.max(at);
     }
 
     /// Activates local feeds and schedules their first poll.
@@ -470,14 +415,9 @@ impl Shard {
         }
     }
 
-    pub fn take_ext_done_transitions(&mut self) -> Vec<(usize, SimTime)> {
-        std::mem::take(&mut self.ext_done_new)
-    }
-
-    /// Applies a link state change locally: updates the replica and pokes
-    /// any local endpoint routers. Journal/tally for chaos flaps live with
-    /// the coordinator's canonical timeline (one entry per event, not one
-    /// per replica).
+    /// Applies a link state change: updates the link state and pokes both
+    /// endpoint routers. Journal/tally for chaos flaps live with the
+    /// coordinator's canonical timeline.
     pub fn apply_link(&mut self, net: &Net, slot: usize, up: bool) {
         if let Some(s) = self.link_up.get_mut(slot) {
             *s = up;
@@ -533,7 +473,7 @@ impl Shard {
     /// RNG stream; returns how many copies to deliver (0 = dropped).
     fn impaired_copies(&mut self, node: NodeRef, spec: Option<ImpairSpec>) -> u32 {
         let Some(spec) = spec else { return 1 };
-        let Some(rng) = self.node_rng.get_mut(node.index()).and_then(|r| r.as_mut()) else {
+        let Some(rng) = self.node_rng.get_mut(node.index()) else {
             return 1;
         };
         if spec.drop_pct > 0 && rng.gen_range(0..100u32) < spec.drop_pct as u32 {
@@ -550,7 +490,6 @@ impl Shard {
     fn node_jitter(&mut self, node: NodeRef) -> u64 {
         self.node_rng
             .get_mut(node.index())
-            .and_then(|r| r.as_mut())
             .map(|rng| rng.gen_range(0..3))
             .unwrap_or(0)
     }
@@ -581,18 +520,14 @@ impl Shard {
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
                         let ev_key = self.next_node_key(net, node, at);
-                        let dest = net.node_shard[end.peer.index()];
-                        self.send(
-                            dest,
-                            Ev {
-                                key: ev_key,
-                                kind: EventKind::DeliverIsis {
-                                    node: end.peer,
-                                    iface: end.peer_iface,
-                                    payload: payload.clone(),
-                                },
+                        self.schedule(Ev {
+                            key: ev_key,
+                            kind: EventKind::DeliverIsis {
+                                node: end.peer,
+                                iface: end.peer_iface,
+                                payload: payload.clone(),
                             },
-                        );
+                        });
                     }
                 }
                 RouterEvent::BgpSegment { src, dst, payload } => {
@@ -614,37 +549,20 @@ impl Shard {
                             .or_insert(SimTime::ZERO);
                         at = at.max(SimTime(clock.0 + 1));
                         *clock = at;
-                        let ev_key = self.next_node_key(net, node, at);
-                        match owner {
-                            Owner::Node(peer) => {
-                                let dest = net.node_shard[peer.index()];
-                                self.send(
-                                    dest,
-                                    Ev {
-                                        key: ev_key,
-                                        kind: EventKind::DeliverBgp {
-                                            node: peer,
-                                            src,
-                                            dst,
-                                            payload: payload.clone(),
-                                        },
-                                    },
-                                );
-                            }
-                            Owner::External(idx) => {
-                                let dest = net.ext_shard[idx];
-                                self.send(
-                                    dest,
-                                    Ev {
-                                        key: ev_key,
-                                        kind: EventKind::DeliverToExternal {
-                                            idx,
-                                            payload: payload.clone(),
-                                        },
-                                    },
-                                );
-                            }
-                        }
+                        let key = self.next_node_key(net, node, at);
+                        let kind = match owner {
+                            Owner::Node(peer) => EventKind::DeliverBgp {
+                                node: peer,
+                                src,
+                                dst,
+                                payload: payload.clone(),
+                            },
+                            Owner::External(idx) => EventKind::DeliverToExternal {
+                                idx,
+                                payload: payload.clone(),
+                            },
+                        };
+                        self.schedule(Ev { key, kind });
                     }
                 }
                 RouterEvent::Crashed { reason } => {
@@ -665,13 +583,10 @@ impl Shard {
                         self.pending_restarts += 1;
                         let at = self.now + delay;
                         let key = self.next_node_key(net, node, at);
-                        self.send(
-                            self.id,
-                            Ev {
-                                key,
-                                kind: EventKind::RestartRouter(node),
-                            },
-                        );
+                        self.schedule(Ev {
+                            key,
+                            kind: EventKind::RestartRouter(node),
+                        });
                     }
                 }
             }
@@ -697,7 +612,7 @@ impl Shard {
             self.schedule_poll(node, at);
         }
         if !changed.is_empty() {
-            self.churn_buf.push((now, node, changed));
+            self.churn_buf.push((now, changed));
         }
     }
 
@@ -716,8 +631,7 @@ impl Shard {
         let src = peer.addr;
         let now_done = peer.done();
         if !was_done && now_done {
-            self.ext_done[idx] = Some(now);
-            self.ext_done_new.push((idx, now));
+            self.feed_drained(now);
         }
         for (dst, msg) in msgs {
             // A message that exceeds a wire length field is dropped (and
@@ -733,7 +647,6 @@ impl Shard {
                 let jitter = self
                     .ext_rng
                     .get_mut(idx)
-                    .and_then(|r| r.as_mut())
                     .map(|rng| rng.gen_range(0..3))
                     .unwrap_or(0);
                 let mut at = now + SimDuration::from_millis(2 + jitter);
@@ -744,19 +657,15 @@ impl Shard {
                 at = at.max(SimTime(clock.0 + 1));
                 *clock = at;
                 let key = self.next_ext_key(net, idx, at);
-                let dest = net.node_shard[node.index()];
-                self.send(
-                    dest,
-                    Ev {
-                        key,
-                        kind: EventKind::DeliverBgp {
-                            node,
-                            src,
-                            dst,
-                            payload,
-                        },
+                self.schedule(Ev {
+                    key,
+                    kind: EventKind::DeliverBgp {
+                        node,
+                        src,
+                        dst,
+                        payload,
                     },
-                );
+                });
             }
         }
         self.schedule_ext_poll(idx, wakeup);
@@ -780,11 +689,6 @@ impl Shard {
                 let router = VirtualRouter::new(name, profile, parsed.config);
                 if let Some(slot) = self.routers.get_mut(node.index()) {
                     *slot = Some(router);
-                }
-                if let Some(slot) = self.ready_at.get_mut(node.index()) {
-                    if slot.replace(self.now).is_none() {
-                        self.ready_count += 1;
-                    }
                 }
                 self.last_activity = self.last_activity.max(self.now);
                 self.schedule_poll(node, self.now);
@@ -837,8 +741,7 @@ impl Shard {
                         self.messages_delivered += 1;
                     }
                     if !was_done && peer.done() {
-                        self.ext_done[idx] = Some(now);
-                        self.ext_done_new.push((idx, now));
+                        self.feed_drained(now);
                     }
                     self.schedule_ext_poll(idx, SimTime(now.0 + 1));
                 }
@@ -860,12 +763,12 @@ impl Shard {
             }
             EventKind::ChaosLink { slot, up } => {
                 // Tally + journal live with the coordinator's canonical
-                // timeline (one entry per flap, not one per shard replica).
-                self.chaos_processed += 1;
+                // timeline.
+                self.chaos_in_flight = self.chaos_in_flight.saturating_sub(1);
                 self.apply_link(net, slot, up);
             }
             EventKind::ChaosKillRouter(node) => {
-                self.chaos_processed += 1;
+                self.chaos_in_flight = self.chaos_in_flight.saturating_sub(1);
                 self.tally.chaos_kill += 1;
                 let now = self.now;
                 if let Some(name) = net.interner.node(node) {
@@ -884,7 +787,7 @@ impl Shard {
     /// Processes every work item with instant `< end` in deterministic
     /// order: earliest instant first; at equal instants the heap wins
     /// (content-keyed order), then router wakes, then external wakes.
-    pub fn run_window(&mut self, net: &Net, end: SimTime) {
+    pub fn run_to(&mut self, net: &Net, end: SimTime) {
         loop {
             let heap_t = self.events.peek().map(|Reverse(ev)| ev.key.time);
             let wake_t = self.wake.iter().next().map(|&(t, _)| t);
@@ -923,18 +826,15 @@ impl Shard {
         }
     }
 
-    /// Folds buffered raw change records into the bounded local `churn`
-    /// tracker, inside the shard's own window — no coordinator-side merge
-    /// per barrier. A no-op until the coordinator announces the
-    /// steady-state gate (`churn_from`); records stamped before the gate
-    /// never count toward oscillation. `churn_buf` is drained in processed
-    /// order, which within one shard is the deterministic event order, so
-    /// the fold is a pure function of shard content.
+    /// Folds buffered raw change records into the bounded `churn` tracker.
+    /// A no-op until the coordinator announces the steady-state gate
+    /// (`churn_from`); records stamped before the gate never count toward
+    /// oscillation.
     pub fn fold_churn(&mut self) {
         let Some(from) = self.churn_from else {
             return;
         };
-        for (at, node, prefixes) in self.churn_buf.drain(..) {
+        for (at, prefixes) in self.churn_buf.drain(..) {
             if at < from {
                 continue;
             }
@@ -943,7 +843,7 @@ impl Shard {
                     continue;
                 }
                 let q = self.churn.entry(p).or_default();
-                q.push_back((at, node.index() as u32));
+                q.push_back(at);
                 if q.len() > CHURN_HISTORY {
                     q.pop_front();
                 }
@@ -951,23 +851,18 @@ impl Shard {
         }
     }
 
-    /// Advances the shard's local clock to at least `t` without processing
-    /// anything (used by the coordinator so wall-clock-relative scheduling
-    /// after a barrier can't rewind behind the window edge).
+    /// Advances the clock to at least `t` without processing anything (used
+    /// by the coordinator so scheduling relative to `now` after a cut can't
+    /// rewind behind the cut).
     pub fn advance_clock(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
 
-    /// Evicts a node (machine failure): drops the router, its ready mark,
-    /// and any pending wake.
+    /// Evicts a node (machine failure): drops the router and any pending
+    /// wake.
     pub fn evict_node(&mut self, node: NodeRef, now: SimTime) {
         if let Some(slot) = self.routers.get_mut(node.index()) {
             *slot = None;
-        }
-        if let Some(slot) = self.ready_at.get_mut(node.index()) {
-            if slot.take().is_some() {
-                self.ready_count = self.ready_count.saturating_sub(1);
-            }
         }
         self.clear_poll(node);
         self.last_activity = self.last_activity.max(now);

@@ -14,15 +14,15 @@
 pub mod chaos;
 pub mod cluster;
 pub mod engine;
+mod event_loop;
 pub mod inject;
 pub mod parallel;
 mod pool;
-mod shard;
 pub mod topology;
 
 pub use chaos::{ChaosEvent, ChaosPlan, ConvergenceVerdict, ImpairSpec};
 pub use cluster::{Cluster, MachineSpec, PodRequest, Unschedulable};
-pub use engine::{Emulation, EmulationConfig, RunReport, ShardMode};
+pub use engine::{Emulation, EmulationConfig, RunReport};
 pub use inject::{synthetic_prefixes, ExternalPeer};
 pub use parallel::{outcome_distribution, run_seeds, run_seeds_detailed, SeedError, SeedRun};
 pub use topology::{ExternalPeerSpec, NodeSpec, TopoLink, Topology};

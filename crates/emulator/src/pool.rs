@@ -1,15 +1,11 @@
-//! Shared worker-pool plumbing for every place the emulator spawns
-//! threads: the sharded engine's window workers ([`with_workers`]) and the
-//! multi-seed fan-out ([`run_indexed`]). One spawn/bounding implementation,
-//! so thread-count clamping, panic confinement, and lock-poison recovery
-//! behave identically everywhere.
+//! The bounded worker pool behind multi-seed fan-out ([`run_indexed`]):
+//! thread-count clamping, panic confinement, and lock-poison recovery.
 //!
 //! Determinism note: thread counts and scheduling affect only *when* work
-//! runs, never results — callers own that contract (the engine via
-//! conservative time windows, the seed pool via per-index result slots).
-//! No `Ordering::Relaxed` atomics live here (mfv-lint rule D3): work
+//! runs, never results — each item writes its own result slot. No
+//! `Ordering::Relaxed` atomics live here (mfv-lint rule D3): work
 //! distribution uses a plain mutex-guarded cursor, which is equally fast at
-//! this granularity (items are whole emulation runs or time windows).
+//! this granularity (items are whole emulation runs).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
@@ -17,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Resolves a requested thread count: `0` means "use the host's available
 /// parallelism", and the result is clamped to `[1, work_items]` so we never
 /// spawn idle workers.
-pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
+fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -29,31 +25,12 @@ pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
 /// holding the guard leaves per-item state that the caller still needs to
 /// read (to report the panic deterministically) — the panic itself is
 /// surfaced separately, never swallowed.
-pub(crate) fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `lead` on the current thread while `threads` scoped workers each
-/// execute `worker(index)`. Returns `lead`'s result once every worker has
-/// finished. Workers that need to rendezvous with the lead (the engine's
-/// barrier protocol) must catch their own panics so the rendezvous always
-/// completes; a panic that *does* escape a worker propagates at scope exit.
-pub(crate) fn with_workers<R>(
-    threads: usize,
-    worker: impl Fn(usize) + Sync,
-    lead: impl FnOnce() -> R,
-) -> R {
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let worker = &worker;
-            s.spawn(move || worker(w));
-        }
-        lead()
-    })
-}
-
 /// Renders a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -76,24 +53,25 @@ pub(crate) fn run_indexed<T: Send>(
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
     let cursor = Mutex::new(0usize);
-    with_workers(
-        threads,
-        |_w| loop {
-            let i = {
-                let mut g = lock_or_recover(&cursor);
-                if *g >= count {
-                    break;
-                }
-                let i = *g;
-                *g += 1;
-                i
-            };
-            let outcome = catch_unwind(AssertUnwindSafe(|| job(i)))
-                .map_err(|payload| format!("worker panicked: {}", panic_message(payload)));
-            *lock_or_recover(&slots[i]) = Some(outcome);
-        },
-        || (),
-    );
+    let worker = || loop {
+        let i = {
+            let mut g = lock_or_recover(&cursor);
+            if *g >= count {
+                break;
+            }
+            let i = *g;
+            *g += 1;
+            i
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(i)))
+            .map_err(|payload| format!("worker panicked: {}", panic_message(payload)));
+        *lock_or_recover(&slots[i]) = Some(outcome);
+    };
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(worker);
+        }
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -135,19 +113,5 @@ mod tests {
         assert_eq!(out[1].as_ref().unwrap(), &1);
         assert!(out[2].as_ref().unwrap_err().contains("boom 2"));
         assert_eq!(out[3].as_ref().unwrap(), &3);
-    }
-
-    #[test]
-    fn with_workers_runs_lead_alongside_workers() {
-        let hits = Mutex::new(0usize);
-        let r = with_workers(
-            4,
-            |_w| {
-                *lock_or_recover(&hits) += 1;
-            },
-            || 42,
-        );
-        assert_eq!(r, 42);
-        assert_eq!(*lock_or_recover(&hits), 4);
     }
 }

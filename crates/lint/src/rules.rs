@@ -97,9 +97,9 @@ impl RuleId {
             // reorder cross-thread observations, and draining a channel
             // with `try_iter` yields arrival order — both let thread
             // scheduling leak into event schedules or verdicts. The
-            // sharded engine's worker pool is Relaxed-free by design;
-            // cross-shard results travel through mutex-held outboxes and
-            // are merge-sorted by content-derived keys before use.
+            // emulator's multi-seed pool is Relaxed-free by design: work is
+            // handed out by a mutex-guarded cursor and each result lands in
+            // its own index slot.
             RuleId::D3 => matches!(
                 crate_name,
                 "emulator" | "routing" | "vrouter" | "verify" | "obs" | "mgmt" | "conflint"

@@ -28,4 +28,4 @@ pub mod index;
 pub mod server;
 
 pub use index::{encode, QueryIndex, Reply};
-pub use server::{query_once, Server, ServerConfig, ServerHandle};
+pub use server::{query_once, Server, ServerConfig, ServerHandle, MAX_REQUEST_LINE};

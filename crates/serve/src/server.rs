@@ -8,13 +8,20 @@
 //! any client sees byte-identical answers at any `workers` setting, a
 //! contract the crate's determinism tests pin.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::index::{encode, QueryIndex, Reply};
+
+/// Longest request line a connection may send, newline included — far
+/// above the longest request the repo's own clients send (a `FATE` with a
+/// few addresses is under 200 bytes). A line that reaches the cap without
+/// a newline gets an `ERR` reply and the connection is closed, so a client
+/// can never grow a worker's buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 4096;
 
 /// How the server binds and scales.
 #[derive(Clone, Debug)]
@@ -158,16 +165,27 @@ fn worker_loop(listener: &TcpListener, stop: &AtomicBool, index: &QueryIndex, co
 }
 
 /// Serves one connection: one request line in, one length-prefixed reply
-/// out, until `QUIT` or EOF.
+/// out, until `QUIT`, EOF, or a line longer than [`MAX_REQUEST_LINE`].
 fn serve_connection(conn: TcpStream, index: &QueryIndex, counters: &Counters) -> io::Result<()> {
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = BufWriter::new(conn);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        buf.clear();
+        let cap = MAX_REQUEST_LINE as u64;
+        if (&mut reader).take(cap).read_until(b'\n', &mut buf)? == 0 {
             return Ok(()); // client closed
         }
+        if buf.len() == MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            counters.queries.fetch_add(1, Ordering::SeqCst);
+            counters.errors.fetch_add(1, Ordering::SeqCst);
+            let reply = Reply::Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"));
+            writer.write_all(&encode(&reply))?;
+            writer.flush()?;
+            return Ok(());
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;

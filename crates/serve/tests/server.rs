@@ -3,13 +3,13 @@
 //! byte-identical answers at any worker count.
 
 use std::collections::BTreeSet;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, TcpStream};
 use std::sync::Arc;
 
 use mfv_dataplane::Dataplane;
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
-use mfv_serve::{query_once, QueryIndex, Reply, Server, ServerConfig};
+use mfv_serve::{query_once, QueryIndex, Reply, Server, ServerConfig, MAX_REQUEST_LINE};
 use mfv_types::{LinkId, NodeId, Prefix, RouteProtocol};
 
 /// A line of `n` routers r00..r{n-1}: each owns 10.0.i.1, routes
@@ -119,6 +119,40 @@ fn protocol_answers_over_tcp() {
     let (_, queries, errors) = handle.stats();
     assert!(queries >= 8);
     assert_eq!(errors, 2);
+    handle.shutdown();
+}
+
+/// A client that never sends a newline gets `ERR` once its line reaches
+/// the cap, and its connection is closed; the lone worker is then free to
+/// serve a fresh connection.
+#[test]
+fn over_long_request_line_is_refused_and_server_keeps_serving() {
+    let index = Arc::new(QueryIndex::new(&line_dp(3)));
+    let config = ServerConfig {
+        port: 0,
+        workers: 1,
+    };
+    let handle = Server::start(index, &config).expect("bind");
+    let addr = handle.addr();
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    conn.write_all(&vec![b'X'; MAX_REQUEST_LINE])
+        .expect("send over-long line");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply)
+        .expect("server replies, then closes");
+    assert!(reply.starts_with("ERR "), "{reply}");
+    assert!(reply.contains("request line longer than"), "{reply}");
+
+    let answers = run_batch(addr, &["REACH r00 r02".to_string()]);
+    assert_eq!(
+        answers,
+        vec![(true, "src=r00 dst=r02 fully_reachable=true".to_string())]
+    );
+    let (_, _, errors) = handle.stats();
+    assert_eq!(errors, 1);
     handle.shutdown();
 }
 

@@ -4,16 +4,15 @@
 # baseline, writing BENCH_emulator.json at the repo root.
 #
 # Usage:
-#   scripts/bench.sh            full suite (60-router grid + the sharded
-#                               scaling matrix incl. the 1,000-router WAN,
-#                               5 iterations)
-#   scripts/bench.sh --smoke    tiny grid + 2-shard cluster slice,
+#   scripts/bench.sh            full suite (60-router grid + the
+#                               multi-machine scenarios incl. the
+#                               1,000-router WAN, 5 iterations)
+#   scripts/bench.sh --smoke    tiny grid + 2-machine cluster slice,
 #                               1 iteration — CI bit-rot guard
 #   scripts/bench.sh --watch    also run the continuous-verification
 #                               window (minutes of wall time; opt-in)
 #
-# Extra flags are passed through to engine_bench (e.g. --iters 9,
-# --threads 1,2,4,8).
+# Extra flags are passed through to engine_bench (e.g. --iters 9).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! mfvctl example six-node > topo.json         write a scenario topology file
-//! mfvctl run topo.json [--seed N] [--machines N] [--threads N]
+//! mfvctl run topo.json [--seed N] [--machines N]
 //! mfvctl diff before.json after.json [--scope CIDR]
 //! mfvctl trace topo.json <src-node> <dst-ip>
 //! mfvctl show topo.json <node> <show command...>
@@ -62,10 +62,8 @@ USAGE:
                                               (six-node, six-node-broken,
                                                fig3-line, rr-cluster, clos,
                                                interplay, conflint-base)
-  mfvctl run TOPOLOGY [--seed N] [--machines N] [--threads N]
+  mfvctl run TOPOLOGY [--seed N] [--machines N]
                                               emulate, converge, verify
-                                              (--threads 0 = host parallelism;
-                                               never changes results)
   mfvctl diff BEFORE AFTER [--scope CIDR]     differential reachability
   mfvctl trace TOPOLOGY SRC-NODE DST-IP       single-packet traceroute
   mfvctl show TOPOLOGY NODE COMMAND...        operator CLI on the converged net
@@ -115,9 +113,6 @@ fn backend_from(args: &[String]) -> Result<EmulationBackend, String> {
     }
     if let Some(m) = flag(args, "--machines") {
         backend.cluster_machines = m.parse().map_err(|_| "bad --machines".to_string())?;
-    }
-    if let Some(t) = flag(args, "--threads") {
-        backend.threads = t.parse().map_err(|_| "bad --threads".to_string())?;
     }
     Ok(backend)
 }

@@ -421,7 +421,7 @@ fn a2() {
     println!(
         "\nk=1 sweep (one emulation per context, fanned out across threads):\n  \
          {} cut contexts survive, {} cause reachability loss (wall {:?})\n  \
-         class cache: {} node analyses reused, {} computed",
+         node classes: {} reused from the baseline, {} computed",
         r.single_cut_survivals, r.single_cut_outages, r.wall, r.class_cache.0, r.class_cache.1
     );
     paper_row(

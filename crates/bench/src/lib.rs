@@ -1,6 +1,6 @@
 //! The experiment harness: one runner per paper artifact (§5 results E1–E6,
 //! §6 ablations A1–A3). The `experiments` binary prints their outputs as
-//! paper-vs-measured tables; the Criterion benches time their hot paths.
+//! paper-vs-measured tables.
 
 use std::collections::BTreeMap;
 
@@ -345,8 +345,9 @@ pub struct A2Result {
     /// Verdicts for the k=1 sweep.
     pub single_cut_survivals: usize,
     pub single_cut_outages: usize,
-    /// `(hits, misses)` of the sweep's per-FIB class cache: hits are node
-    /// analyses reused from an earlier context instead of recomputed.
+    /// `(reused, built)` per-node match classes of the sweep: reused are
+    /// node classes a variant shared with the baseline instead of
+    /// recomputing them.
     pub class_cache: (usize, usize),
     pub wall: std::time::Duration,
 }

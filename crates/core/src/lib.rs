@@ -58,6 +58,6 @@ pub use mfv_verify::{
     deliverability_changes, detect_blackholes, detect_loops, detect_multipath_inconsistency,
     differential_reachability, differential_reachability_with, disposition_summary,
     qualified_reachability, qualified_unreachable_pairs, reachability, traceroute,
-    unreachable_pairs, ClassCache, Coverage, DiffFinding, Disposition, ForwardingAnalysis,
-    Qualified, StandingQueries, Verdict, VerdictUpdate,
+    unreachable_pairs, Coverage, DiffFinding, Disposition, ForwardingAnalysis, Qualified,
+    StandingQueries, Verdict, VerdictUpdate,
 };

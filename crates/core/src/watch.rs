@@ -11,8 +11,8 @@
 //!        │                                            │ changed nodes +
 //!        ▼                                            ▼ coverage
 //!   chaos plan                                  StandingQueries
-//!   (flaps, kills,                              (incremental re-evaluation
-//!    machine failures)                           through a ClassCache)
+//!   (flaps, kills,                              (incremental re-evaluation:
+//!    machine failures)                           analysis carried forward)
 //! ```
 //!
 //! Every piece is seeded and sim-timed, so a run's verdict journal and
@@ -89,7 +89,7 @@ pub struct WatchReport {
     /// changed nodes, so `evaluated` grows sub-quadratically in N after
     /// the first full pass.
     pub pair_stats: (u64, u64),
-    /// `(hits, misses)` of the standing queries' class cache.
+    /// `(reused, built)` per-node match classes of the standing queries.
     pub cache_stats: (usize, usize),
     /// Coverage at the end of the window.
     pub final_coverage: Coverage,
@@ -304,7 +304,7 @@ mod tests {
             report.final_coverage
         );
         // Incremental property: far more class reuse than rebuilds.
-        let (hits, misses) = report.cache_stats;
-        assert!(hits > misses, "hits={hits} misses={misses}");
+        let (reused, built) = report.cache_stats;
+        assert!(reused > built, "reused={reused} built={built}");
     }
 }

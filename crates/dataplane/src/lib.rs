@@ -16,8 +16,9 @@ use serde::{Deserialize, Serialize};
 use mfv_routing::rib::{Fib, FibEntry};
 use mfv_types::{IfaceId, LinkId, NodeId, Prefix};
 
-/// Forwarding state of one node.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Forwarding state of one node. Equality is by value; the verifier
+/// shares per-node derived state between snapshots in which it is equal.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeDataplane {
     /// FIB entries (serialised form of the node's AFT).
     pub entries: Vec<FibEntry>,
@@ -36,25 +37,6 @@ impl NodeDataplane {
             fib.insert(e.clone());
         }
         fib
-    }
-
-    /// Order-insensitive digest of this node's forwarding state. Two nodes
-    /// with the same digest have identical FIBs, so any per-FIB derived
-    /// structure (e.g. the verifier's effective match classes) can be
-    /// shared between them — the key for node-level caching across variant
-    /// dataplanes.
-    pub fn fib_digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut sorted: Vec<&FibEntry> = self.entries.iter().collect();
-        sorted.sort_by_key(|e| e.prefix);
-        let mut h = DefaultHasher::new();
-        for e in sorted {
-            e.prefix.hash(&mut h);
-            e.proto.hash(&mut h);
-            e.next_hops.hash(&mut h);
-        }
-        h.finish()
     }
 }
 

@@ -77,11 +77,11 @@ impl QueryIndex {
         let full = IpSet::full();
         let mut classes = 0usize;
         for src in self.fa.node_names() {
-            classes += self.fa.dispositions_from_shared(&src, &full).len();
+            classes += self.fa.dispositions_from(&src, &full).0.len();
         }
         if let Some(base) = &self.baseline {
             for src in base.node_names() {
-                base.dispositions_from_shared(&src, &full);
+                base.dispositions_from(&src, &full);
             }
         }
         classes

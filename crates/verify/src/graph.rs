@@ -10,15 +10,16 @@
 //! or concluding no such routes exist").
 
 // mfv-lint: allow-file(D3, relaxed atomics here are monotonic hit/miss diagnostics; RMW totals are exact under any ordering and never feed a schedule or verdict)
-// mfv-lint: allow(D1, HashMap here backs digest-keyed caches that are only probed, never iterated)
+// mfv-lint: allow(D1, HashMap here backs the (node, scope) memo, which is probed by key and iterated only into another memo)
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mfv_dataplane::{Dataplane, NodeDataplane};
 use mfv_routing::rib::{Fib, FibEntry};
-use mfv_types::{IfaceId, IpSet, NodeId, PrefixTrie};
+use mfv_types::{IfaceId, IpSet, LinkId, NodeId, PrefixTrie};
 
 /// The fate of a packet class.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -89,78 +90,55 @@ pub struct Trace {
     pub disposition: Disposition,
 }
 
-/// Effective match classes derived from one FIB — the shareable unit of
-/// the class cache.
-pub struct NodeClasses {
+/// Everything a walk reads at one node. Built once per node and shared,
+/// through one `Arc`, by every later analysis in which the node's
+/// [`NodeDataplane`] is unchanged.
+struct NodeState {
+    fib: Fib,
     /// Disjoint effective match classes: (class, entry) where `class` is
     /// exactly the set of destinations this entry forwards (its prefix
     /// minus all more-specific prefixes in the same FIB).
-    pub classes: Vec<(IpSet, FibEntry)>,
+    classes: Vec<(IpSet, FibEntry)>,
     /// Union of all matched destinations (complement = NoRoute).
-    pub covered: IpSet,
-}
-
-/// Cross-snapshot cache of per-FIB effective classes, keyed by
-/// [`NodeDataplane::fib_digest`].
-///
-/// What-if sweeps analyse hundreds of variant dataplanes that differ from
-/// the baseline at only a few nodes; sharing the unchanged nodes' classes
-/// makes re-analysis cost proportional to the *changed* nodes rather than
-/// the whole network. Thread-safe, so one cache can back a parallel sweep.
-#[derive(Default)]
-pub struct ClassCache {
-    // mfv-lint: allow(D1, probed by digest only; iteration order never observed)
-    by_digest: Mutex<HashMap<u64, Arc<NodeClasses>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl ClassCache {
-    pub fn new() -> ClassCache {
-        ClassCache::default()
-    }
-
-    /// `(hits, misses)` over the cache's lifetime. A sweep that reuses the
-    /// baseline's classes for unchanged nodes shows up as a high hit count.
-    pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    fn classes_for(&self, node: &NodeDataplane) -> Arc<NodeClasses> {
-        let digest = node.fib_digest();
-        // Poisoning cannot corrupt the cache (insertions are atomic via the
-        // entry API), so recover the guard instead of propagating a panic
-        // from an unrelated worker thread into this sweep.
-        if let Some(hit) = self
-            .by_digest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&digest)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        // Build outside the lock: class computation is the expensive part,
-        // and a rare duplicate build is cheaper than serialising all misses.
-        let built = Arc::new(effective_classes(&node.fib()));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.by_digest
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(digest)
-            .or_insert(built)
-            .clone()
-    }
-}
-
-struct NodeState {
-    fib: Fib,
-    classes: Arc<NodeClasses>,
+    covered: IpSet,
     addresses: IpSet,
     up: bool,
+}
+
+impl NodeState {
+    fn build(node: &NodeDataplane) -> NodeState {
+        let fib = node.fib();
+        // LPM holes are exactly the topmost more-specific prefixes present
+        // in the same FIB; the trie walk finds them directly instead of
+        // scanning all prefix pairs.
+        let mut trie = PrefixTrie::new();
+        for e in fib.entries() {
+            trie.insert(e.prefix, ());
+        }
+        let mut covered = IpSet::empty();
+        let mut classes = Vec::new();
+        for e in fib.entries() {
+            let mut eff = IpSet::from_prefix(&e.prefix);
+            for hole in trie.max_descendants(&e.prefix) {
+                eff = eff.subtract(&IpSet::from_prefix(&hole));
+            }
+            covered = covered.union(&IpSet::from_prefix(&e.prefix));
+            if !eff.is_empty() {
+                classes.push((eff, e.clone()));
+            }
+        }
+        let mut addresses = IpSet::empty();
+        for a in &node.addresses {
+            addresses = addresses.union(&IpSet::single(*a));
+        }
+        NodeState {
+            fib,
+            classes,
+            covered,
+            addresses,
+            up: node.up,
+        }
+    }
 }
 
 /// A disposition partition of some scope: disjoint packet classes, each
@@ -170,53 +148,36 @@ pub type DispositionRows = Vec<(IpSet, Disposition)>;
 /// The nodes an exploration's answer was derived from: every node whose
 /// FIB, liveness, or addresses the verdict depends on. If none of these
 /// change between snapshots (and no adjacent link does), the answer is
-/// still valid — the invariant the standing-query layer's pair-level
-/// incrementality rests on.
+/// still valid — the rule [`ForwardingAnalysis::reusing`] carries memo
+/// entries forward by.
 pub type DepSet = BTreeSet<NodeId>;
 
-/// A memoised exploration result: the disposition partition plus the
-/// dependency set its exploration touched.
-type MemoEntry = (Arc<DispositionRows>, Arc<DepSet>);
+/// A memoised exploration: the disposition partition, the dependency set
+/// the walk touched, and whether this analysis was asked for it. An entry
+/// carried from the previous analysis and never asked again is not
+/// carried further, so the memo holds at most two snapshots' questions.
+struct MemoEntry {
+    rows: Arc<DispositionRows>,
+    deps: Arc<DepSet>,
+    asked: bool,
+}
 
 /// The analysis context: a dataplane with per-node match classes
 /// precomputed.
 pub struct ForwardingAnalysis {
-    nodes: BTreeMap<NodeId, NodeState>,
+    nodes: BTreeMap<NodeId, Arc<NodeState>>,
     dp: Dataplane,
-    /// Memoised disposition partitions per (entry node, scope), each with
-    /// the dependency set its exploration touched. The baseline side of a
-    /// differential sweep asks the same question once per variant;
-    /// computing it once amortises the whole sweep.
-    // mfv-lint: allow(D1, probed by (node, scope) key only; iteration order never observed)
+    /// Memoised disposition partitions per (entry node, scope). The
+    /// baseline side of a differential sweep asks the same question once
+    /// per variant; computing it once amortises the whole sweep.
+    // mfv-lint: allow(D1, probed by (node, scope) key; iterated only into the next analysis' memo, where order is never observed)
     memo: Mutex<HashMap<(NodeId, IpSet), MemoEntry>>,
     memo_hits: AtomicUsize,
     memo_misses: AtomicUsize,
-    /// Classes computed locally (not served by a [`ClassCache`]).
+    /// Node states shared from the previous analysis.
+    classes_reused: usize,
+    /// Node states computed by this analysis.
     classes_built: usize,
-}
-
-fn effective_classes(fib: &Fib) -> NodeClasses {
-    let entries: Vec<&FibEntry> = fib.entries().collect();
-    // LPM holes are exactly the topmost more-specific prefixes present in
-    // the same FIB; the trie walk finds them directly instead of scanning
-    // all prefix pairs.
-    let mut trie = PrefixTrie::new();
-    for e in &entries {
-        trie.insert(e.prefix, ());
-    }
-    let mut covered = IpSet::empty();
-    let mut classes = Vec::with_capacity(entries.len());
-    for e in &entries {
-        let mut eff = IpSet::from_prefix(&e.prefix);
-        for hole in trie.max_descendants(&e.prefix) {
-            eff = eff.subtract(&IpSet::from_prefix(&hole));
-        }
-        covered = covered.union(&IpSet::from_prefix(&e.prefix));
-        if !eff.is_empty() {
-            classes.push((eff, (*e).clone()));
-        }
-    }
-    NodeClasses { classes, covered }
 }
 
 impl ForwardingAnalysis {
@@ -224,49 +185,78 @@ impl ForwardingAnalysis {
         Self::build(dp, None)
     }
 
-    /// Like [`ForwardingAnalysis::new`], but reuses effective classes from
-    /// `cache` for any node whose FIB digest has been seen before.
-    pub fn with_cache(dp: &Dataplane, cache: &ClassCache) -> ForwardingAnalysis {
-        Self::build(dp, Some(cache))
+    /// Like [`ForwardingAnalysis::new`], but carries `prev` forward: every
+    /// node whose [`NodeDataplane`] is equal in both snapshots shares
+    /// `prev`'s node state, and every answer `prev` was asked for whose
+    /// dependency set avoids the changed nodes (see [`DepSet`]) is kept.
+    /// Re-analysis then costs what changed, not the whole network.
+    pub fn reusing(dp: &Dataplane, prev: &ForwardingAnalysis) -> ForwardingAnalysis {
+        Self::build(dp, Some(prev))
     }
 
-    fn build(dp: &Dataplane, cache: Option<&ClassCache>) -> ForwardingAnalysis {
+    fn build(dp: &Dataplane, prev: Option<&ForwardingAnalysis>) -> ForwardingAnalysis {
         let mut nodes = BTreeMap::new();
-        let mut classes_built = 0usize;
+        // The nodes whose answers may differ from `prev`'s: first those
+        // whose forwarding state, liveness or addresses differ (every node
+        // when there is no `prev`).
+        let mut changed = BTreeSet::new();
         for (name, node) in &dp.nodes {
-            let classes = match cache {
-                Some(c) => c.classes_for(node),
+            let shared = prev
+                .filter(|p| p.dp.nodes.get(name) == Some(node))
+                .and_then(|p| p.nodes.get(name));
+            let state = match shared {
+                Some(state) => Arc::clone(state),
                 None => {
-                    classes_built += 1;
-                    Arc::new(effective_classes(&node.fib()))
+                    changed.insert(name.clone());
+                    Arc::new(NodeState::build(node))
                 }
             };
-            let mut addresses = IpSet::empty();
-            for a in &node.addresses {
-                addresses = addresses.union(&IpSet::single(*a));
-            }
-            nodes.insert(
-                name.clone(),
-                NodeState {
-                    fib: node.fib(),
-                    classes,
-                    addresses,
-                    up: node.up,
-                },
-            );
+            nodes.insert(name.clone(), state);
         }
+        let classes_built = changed.len();
+        let memo = match prev {
+            Some(p) => {
+                // Then removed nodes, and both ends of an added or removed
+                // link.
+                let removed = p.dp.nodes.keys().filter(|n| !dp.nodes.contains_key(*n));
+                changed.extend(removed.cloned());
+                let before: BTreeSet<&LinkId> = p.dp.links.iter().collect();
+                let after: BTreeSet<&LinkId> = dp.links.iter().collect();
+                for link in before.symmetric_difference(&after) {
+                    changed.insert(link.a.0.clone());
+                    changed.insert(link.b.0.clone());
+                }
+                p.memo
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .filter(|(_, e)| e.asked && e.deps.is_disjoint(&changed))
+                    .map(|(key, e)| {
+                        let carried = MemoEntry {
+                            rows: Arc::clone(&e.rows),
+                            deps: Arc::clone(&e.deps),
+                            asked: false,
+                        };
+                        (key.clone(), carried)
+                    })
+                    .collect()
+            }
+            // mfv-lint: allow(D1, memo is probed by key only; iteration order never observed)
+            None => HashMap::new(),
+        };
         ForwardingAnalysis {
+            classes_reused: nodes.len() - classes_built,
+            classes_built,
             nodes,
             dp: dp.clone(),
-            // mfv-lint: allow(D1, memo is probed by key only; iteration order never observed)
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(memo),
             memo_hits: AtomicUsize::new(0),
             memo_misses: AtomicUsize::new(0),
-            classes_built,
         }
     }
 
-    /// `(hits, misses)` of the per-(entry, scope) disposition memo.
+    /// `(hits, misses)` of the per-(entry, scope) disposition memo. An
+    /// answer carried from the previous analysis counts as a hit.
     pub fn memo_stats(&self) -> (usize, usize) {
         (
             self.memo_hits.load(Ordering::Relaxed),
@@ -274,19 +264,21 @@ impl ForwardingAnalysis {
         )
     }
 
-    /// Flushes this analysis' counters into `obs`. Pass the [`ClassCache`]
-    /// backing the sweep (if any) to fold its hit/miss totals in too.
-    pub fn observe_into(&self, obs: &mut mfv_obs::Obs, cache: Option<&ClassCache>) {
+    /// `(reused, built)` per-node match classes: shared from the previous
+    /// analysis, or computed by this one.
+    pub fn class_stats(&self) -> (usize, usize) {
+        (self.classes_reused, self.classes_built)
+    }
+
+    /// Flushes this analysis' counters into `obs`. The second parameter is
+    /// inert: it once carried a cross-snapshot class cache, and stays only
+    /// until the benchmark harness, which passes `None`, changes with it.
+    pub fn observe_into(&self, obs: &mut mfv_obs::Obs, _inert: Option<Infallible>) {
         let m = &mut obs.metrics;
         m.inc("verify.classes.built", self.classes_built as u64);
         let (mh, mm) = self.memo_stats();
         m.inc("verify.memo.hits", mh as u64);
         m.inc("verify.memo.misses", mm as u64);
-        if let Some(c) = cache {
-            let (ch, cm) = c.stats();
-            m.inc("verify.classes.cache_hits", ch as u64);
-            m.inc("verify.classes.cache_misses", cm as u64);
-        }
     }
 
     pub fn dataplane(&self) -> &Dataplane {
@@ -297,38 +289,29 @@ impl ForwardingAnalysis {
         self.nodes.keys().cloned().collect()
     }
 
-    /// Exhaustively computes the fate of every destination in `dst`,
-    /// for packets entering the network at `from`.
-    pub fn dispositions_from(&self, from: &NodeId, dst: &IpSet) -> Vec<(IpSet, Disposition)> {
-        self.dispositions_from_shared(from, dst).as_ref().clone()
-    }
-
-    /// Memoised variant of [`ForwardingAnalysis::dispositions_from`]
-    /// returning a shared handle; repeated queries for the same
-    /// (entry, scope) pair are computed once per analysis.
-    pub fn dispositions_from_shared(&self, from: &NodeId, dst: &IpSet) -> Arc<DispositionRows> {
-        self.dispositions_from_deps(from, dst).0
-    }
-
-    /// Like [`ForwardingAnalysis::dispositions_from_shared`], but also
-    /// returns the dependency set: every node the exploration consulted
-    /// (including the entry node and any down/missing node encountered).
-    /// The standing-query layer keys verdict reuse on this set.
-    pub fn dispositions_from_deps(
+    /// Exhaustively computes the fate of every destination in `dst`, for
+    /// packets entering the network at `from`, with the dependency set:
+    /// every node the exploration consulted (including the entry node and
+    /// any down/missing node encountered). Memoised: repeated queries for
+    /// the same (entry, scope) pair are computed once per analysis.
+    pub fn dispositions_from(
         &self,
         from: &NodeId,
         dst: &IpSet,
     ) -> (Arc<DispositionRows>, Arc<DepSet>) {
         let key = (from.clone(), dst.clone());
-        // Same poison-recovery rationale as `ClassCache::classes_for`.
-        if let Some((rows, deps)) = self
+        // Poisoning cannot corrupt the memo (insertions are atomic via the
+        // entry API), so recover the guard instead of propagating a panic
+        // from an unrelated worker thread.
+        if let Some(e) = self
             .memo
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
+            .get_mut(&key)
         {
+            e.asked = true;
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(rows), Arc::clone(deps));
+            return (Arc::clone(&e.rows), Arc::clone(&e.deps));
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut visited = Vec::new();
@@ -338,13 +321,14 @@ impl ForwardingAnalysis {
         let mut out = self.explore(from, dst.clone(), &mut visited, &mut deps);
         // Canonical order for stable comparison.
         out.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.ranges().cmp(b.0.ranges())));
-        let rows = Arc::new(coalesce(out));
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert((rows, Arc::new(deps)))
-            .clone()
+        let computed = MemoEntry {
+            rows: Arc::new(coalesce(out)),
+            deps: Arc::new(deps),
+            asked: true,
+        };
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let e = memo.entry(key).or_insert(computed);
+        (Arc::clone(&e.rows), Arc::clone(&e.deps))
     }
 
     /// Point query: the fate of one packet `(from, dst)`, answered by a
@@ -354,7 +338,7 @@ impl ForwardingAnalysis {
     /// than a fresh graph walk — the batching idiom the serve front end
     /// relies on.
     pub fn fate_of(&self, from: &NodeId, dst: Ipv4Addr) -> Disposition {
-        let rows = self.dispositions_from_shared(from, &IpSet::full());
+        let (rows, _) = self.dispositions_from(from, &IpSet::full());
         for (set, disp) in rows.iter() {
             if set.contains(dst) {
                 return disp.clone();
@@ -402,13 +386,13 @@ impl ForwardingAnalysis {
         visited.push(node.clone());
 
         // Unrouted remainder.
-        let unrouted = rest.subtract(&state.classes.covered);
+        let unrouted = rest.subtract(&state.covered);
         if !unrouted.is_empty() {
             out.push((unrouted.clone(), Disposition::NoRoute(node.clone())));
             rest = rest.subtract(&unrouted);
         }
 
-        for (eff, entry) in &state.classes.classes {
+        for (eff, entry) in &state.classes {
             let cls = rest.intersect(eff);
             if cls.is_empty() {
                 continue;
@@ -443,76 +427,29 @@ impl ForwardingAnalysis {
         let mut hops = Vec::new();
         let mut node = from.clone();
         let mut seen: Vec<NodeId> = Vec::new();
-        loop {
-            let Some(state) = self.nodes.get(&node) else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NodeDown(node),
-                };
+        let disposition = loop {
+            let Some(state) = self.nodes.get(&node).filter(|s| s.up) else {
+                break Disposition::NodeDown(node.clone());
             };
-            if !state.up {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NodeDown(node),
-                };
-            }
             if state.addresses.contains(dst) {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::Accepted(node),
-                };
+                break Disposition::Accepted(node.clone());
             }
             if seen.contains(&node) {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::Loop(node),
-                };
+                break Disposition::Loop(node.clone());
             }
             seen.push(node.clone());
             let Some(entry) = state.fib.lookup(dst) else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NoRoute(node),
-                };
+                break Disposition::NoRoute(node.clone());
             };
             let Some(nh) = entry.next_hops.first() else {
-                hops.push(TraceHop {
-                    node: node.clone(),
-                    egress: None,
-                });
-                return Trace {
-                    hops,
-                    disposition: Disposition::NullRoute(node),
-                };
+                break Disposition::NullRoute(node.clone());
             };
             hops.push(TraceHop {
                 node: node.clone(),
                 egress: Some(nh.iface.clone()),
             });
             match self.dp.peer_of(&node, &nh.iface) {
-                Some((peer, _)) => {
-                    node = peer.clone();
-                }
+                Some((peer, _)) => node = peer.clone(),
                 None => {
                     return Trace {
                         hops,
@@ -520,7 +457,10 @@ impl ForwardingAnalysis {
                     };
                 }
             }
-        }
+        };
+        // Every fate but leaving the network ends with an egress-less hop.
+        hops.push(TraceHop { node, egress: None });
+        Trace { hops, disposition }
     }
 }
 
@@ -662,7 +602,7 @@ mod tests {
     #[test]
     fn exhaustive_dispositions_partition_full_space() {
         let fa = ForwardingAnalysis::new(&line_dp());
-        let rows = fa.dispositions_from(&"r1".into(), &IpSet::full());
+        let (rows, _) = fa.dispositions_from(&"r1".into(), &IpSet::full());
         let total: u64 = rows.iter().map(|(s, _)| s.count()).sum();
         assert_eq!(
             total,
@@ -682,6 +622,60 @@ mod tests {
         assert!(noroute.0.contains(addr("8.8.8.8")));
     }
 
+    /// Carrying an analysis across a change at r3 alone: r1 and r2 share
+    /// the base's node states, r3 is rebuilt, and exactly the base answers
+    /// whose walks avoid r3 come back as memo hits.
+    #[test]
+    fn reusing_shares_unchanged_nodes_and_answers() {
+        let base = ForwardingAnalysis::new(&line_dp());
+        let scopes = [
+            IpSet::full(),
+            IpSet::single(addr("2.2.2.1")),
+            IpSet::single(addr("2.2.2.2")),
+        ];
+        let mut keys = Vec::new();
+        for src in base.node_names() {
+            for scope in &scopes {
+                base.dispositions_from(&src, scope);
+                keys.push((src.clone(), scope.clone()));
+            }
+        }
+        let mut variant = line_dp();
+        let r3 = NodeId::from("r3");
+        let lost: Prefix = "2.2.2.1/32".parse().unwrap();
+        variant
+            .nodes
+            .get_mut(&r3)
+            .unwrap()
+            .entries
+            .retain(|e| e.prefix != lost);
+        let fa = ForwardingAnalysis::reusing(&variant, &base);
+        assert_eq!(fa.class_stats(), (2, 1));
+
+        let fresh = ForwardingAnalysis::new(&variant);
+        let mut avoid_r3 = 0;
+        for (src, scope) in &keys {
+            if !base.dispositions_from(src, scope).1.contains(&r3) {
+                avoid_r3 += 1;
+            }
+            assert_eq!(
+                fa.dispositions_from(src, scope),
+                fresh.dispositions_from(src, scope)
+            );
+        }
+        // r1 and r2 toward 2.2.2.1 and 2.2.2.2; every full-space walk and
+        // every walk from r3 reaches r3.
+        assert_eq!(avoid_r3, 4);
+        assert_eq!(fa.memo_stats(), (avoid_r3, keys.len() - avoid_r3));
+
+        // An answer nobody asks again is not carried a second time.
+        let skipped = ForwardingAnalysis::reusing(&variant, &base);
+        let next = ForwardingAnalysis::reusing(&variant, &skipped);
+        assert_eq!(next.class_stats(), (3, 0));
+        next.dispositions_from(&"r1".into(), &IpSet::single(addr("2.2.2.1")));
+        assert_eq!(next.memo_stats(), (0, 1));
+    }
+
     #[test]
     fn loop_detected() {
         // r1 and r2 point 9.9.9.9/32 at each other.
@@ -699,7 +693,7 @@ mod tests {
         let fa = ForwardingAnalysis::new(&dp);
         let trace = fa.trace(&"r1".into(), addr("9.9.9.9"));
         assert!(matches!(trace.disposition, Disposition::Loop(_)));
-        let rows = fa.dispositions_from(&"r1".into(), &IpSet::single(addr("9.9.9.9")));
+        let (rows, _) = fa.dispositions_from(&"r1".into(), &IpSet::single(addr("9.9.9.9")));
         assert!(matches!(rows[0].1, Disposition::Loop(_)));
     }
 
@@ -757,7 +751,7 @@ mod tests {
             ("r2".into(), "e0".into()),
         ));
         let fa = ForwardingAnalysis::new(&dp);
-        let rows = fa.dispositions_from(
+        let (rows, _) = fa.dispositions_from(
             &"r1".into(),
             &IpSet::from_prefix(&"10.0.0.0/8".parse::<Prefix>().unwrap()),
         );
@@ -811,7 +805,7 @@ mod tests {
             ("r3".into(), "e0".into()),
         ));
         let fa = ForwardingAnalysis::new(&dp);
-        let rows = fa.dispositions_from(
+        let (rows, _) = fa.dispositions_from(
             &"r1".into(),
             &IpSet::from_prefix(&"9.9.9.0/24".parse::<Prefix>().unwrap()),
         );
@@ -851,7 +845,7 @@ mod tests {
             ("r3".into(), "e0".into()),
         ));
         let fa = ForwardingAnalysis::new(&dp);
-        let rows = fa.dispositions_from(
+        let (rows, _) = fa.dispositions_from(
             &"r1".into(),
             &IpSet::from_prefix(&"9.9.9.0/24".parse::<Prefix>().unwrap()),
         );

@@ -13,8 +13,8 @@
 //! - [`coverage`] — coverage-qualified answers over partially-extracted
 //!   snapshots (which devices a verdict does and does not speak for)
 //! - [`standing`] — standing queries for continuous verification:
-//!   incremental re-evaluation through a shared class cache, emitting
-//!   verdict transitions instead of full reports
+//!   incremental re-evaluation by carrying each analysis forward into the
+//!   next, emitting verdict transitions instead of full reports
 
 pub mod coverage;
 pub mod graph;
@@ -34,15 +34,12 @@ pub fn observed_query<T>(obs: &mut mfv_obs::Obs, name: &'static str, f: impl FnO
 }
 
 pub use coverage::{qualified_reachability, qualified_unreachable_pairs, Coverage, Qualified};
-pub use graph::{
-    ClassCache, DepSet, Disposition, DispositionRows, ForwardingAnalysis, NodeClasses, Trace,
-    TraceHop,
-};
+pub use graph::{DepSet, Disposition, DispositionRows, ForwardingAnalysis, Trace, TraceHop};
 pub use queries::{
     blackholes_from_with_deps, deliverability_changes, detect_blackholes, detect_blackholes_with,
     detect_loops, detect_loops_with, detect_multipath_inconsistency, differential_reachability,
     differential_reachability_with, disposition_summary, loops_from_with_deps, owned_address_scope,
-    reachability, reachability_with_deps, traceroute, unreachable_pairs, unreachable_pairs_with,
-    BlackHoleFinding, DiffFinding, LoopFinding, ReachabilityReport,
+    reachability, traceroute, unreachable_pairs, unreachable_pairs_with, BlackHoleFinding,
+    DiffFinding, LoopFinding, ReachabilityReport,
 };
 pub use standing::{StandingQueries, Verdict, VerdictUpdate};

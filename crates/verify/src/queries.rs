@@ -68,8 +68,8 @@ pub fn differential_reachability_with(
         if !fa_after.dataplane().nodes.contains_key(&src) {
             continue;
         }
-        let rows_before = fa_before.dispositions_from_shared(&src, scope);
-        let rows_after = fa_after.dispositions_from_shared(&src, scope);
+        let (rows_before, _) = fa_before.dispositions_from(&src, scope);
+        let (rows_after, _) = fa_after.dispositions_from(&src, scope);
         // Pairwise intersect the two partitions; differing fates are
         // findings.
         for (set_b, disp_b) in rows_before.iter() {
@@ -127,25 +127,13 @@ pub fn reachability(
     src: &NodeId,
     dst_node: &NodeId,
 ) -> ReachabilityReport {
-    reachability_with_deps(fa, src, dst_node).0
-}
-
-/// [`reachability`] plus the dependency set of the exploration. The
-/// answer is valid until one of the returned nodes (or `dst_node` itself,
-/// whose addresses define the query's scope, or a link adjacent to a
-/// dependency) changes — the reuse contract of the standing-query layer.
-pub fn reachability_with_deps(
-    fa: &ForwardingAnalysis,
-    src: &NodeId,
-    dst_node: &NodeId,
-) -> (ReachabilityReport, Arc<DepSet>) {
     let mut dst_set = IpSet::empty();
     if let Some(node) = fa.dataplane().nodes.get(dst_node) {
         for a in &node.addresses {
             dst_set = dst_set.union(&IpSet::single(*a));
         }
     }
-    let (rows, deps) = fa.dispositions_from_deps(src, &dst_set);
+    let (rows, _) = fa.dispositions_from(src, &dst_set);
     let mut delivered = IpSet::empty();
     let mut failed = Vec::new();
     for (set, disp) in rows.iter() {
@@ -156,15 +144,12 @@ pub fn reachability_with_deps(
             _ => failed.push((set.clone(), disp.clone())),
         }
     }
-    (
-        ReachabilityReport {
-            src: src.clone(),
-            dst_node: dst_node.clone(),
-            delivered,
-            failed,
-        },
-        deps,
-    )
+    ReachabilityReport {
+        src: src.clone(),
+        dst_node: dst_node.clone(),
+        delivered,
+        failed,
+    }
 }
 
 /// All-pairs reachability over node loopback/owned addresses. Returns the
@@ -174,8 +159,9 @@ pub fn unreachable_pairs(dp: &Dataplane) -> Vec<ReachabilityReport> {
 }
 
 /// [`unreachable_pairs`] over a prebuilt analysis — the standing-query
-/// path, where the analysis is rebuilt per re-evaluation with a shared
-/// [`crate::ClassCache`] so only changed nodes pay class computation.
+/// path, where each re-evaluation's analysis is carried forward from the
+/// last one ([`ForwardingAnalysis::reusing`]), so only the pairs whose
+/// walks cross a changed node are walked again.
 pub fn unreachable_pairs_with(fa: &ForwardingAnalysis) -> Vec<ReachabilityReport> {
     let nodes = fa.node_names();
     let mut out = Vec::new();
@@ -207,9 +193,9 @@ pub fn detect_loops(dp: &Dataplane) -> Vec<LoopFinding> {
 }
 
 /// [`detect_loops`] over a prebuilt analysis (standing-query path). Each
-/// per-source walk goes through the shared class index
-/// ([`ForwardingAnalysis::dispositions_from_deps`]) so repeated and
-/// incremental callers share one partition per source.
+/// per-source walk goes through the memoised
+/// [`ForwardingAnalysis::dispositions_from`], so repeated and incremental
+/// callers share one partition per source.
 pub fn detect_loops_with(fa: &ForwardingAnalysis) -> Vec<LoopFinding> {
     let mut out = Vec::new();
     for src in fa.node_names() {
@@ -223,7 +209,7 @@ pub fn loops_from_with_deps(
     fa: &ForwardingAnalysis,
     src: &NodeId,
 ) -> (Vec<LoopFinding>, Arc<DepSet>) {
-    let (rows, deps) = fa.dispositions_from_deps(src, &IpSet::full());
+    let (rows, deps) = fa.dispositions_from(src, &IpSet::full());
     let mut out = Vec::new();
     for (set, disp) in rows.iter() {
         if let Disposition::Loop(at) = disp {
@@ -252,9 +238,8 @@ pub fn detect_blackholes(dp: &Dataplane) -> Vec<BlackHoleFinding> {
 }
 
 /// The "should be reachable" space: every address owned by an up node.
-/// This is the scope black-hole detection checks; the standing-query
-/// layer compares it across snapshots because a scope change invalidates
-/// every per-source black-hole answer at once.
+/// This is the scope black-hole detection checks. It is part of each
+/// black-hole answer's memo key, so a scope change re-walks every source.
 pub fn owned_address_scope(fa: &ForwardingAnalysis) -> IpSet {
     let mut owned = IpSet::empty();
     for node in fa.dataplane().nodes.values() {
@@ -286,7 +271,7 @@ pub fn blackholes_from_with_deps(
     src: &NodeId,
     owned: &IpSet,
 ) -> (Vec<BlackHoleFinding>, Arc<DepSet>) {
-    let (rows, deps) = fa.dispositions_from_deps(src, owned);
+    let (rows, deps) = fa.dispositions_from(src, owned);
     let mut out = Vec::new();
     for (set, disp) in rows.iter() {
         match disp {
@@ -308,9 +293,9 @@ pub fn detect_multipath_inconsistency(dp: &Dataplane) -> Vec<(NodeId, IpSet)> {
     let fa = ForwardingAnalysis::new(dp);
     let mut out = Vec::new();
     for src in fa.node_names() {
-        for (set, disp) in fa.dispositions_from(&src, &IpSet::full()) {
+        for (set, disp) in fa.dispositions_from(&src, &IpSet::full()).0.iter() {
             if matches!(disp, Disposition::EcmpDivergent(_)) {
-                out.push((src.clone(), set));
+                out.push((src.clone(), set.clone()));
             }
         }
     }
@@ -332,7 +317,7 @@ pub fn disposition_summary(
     let mut out = BTreeMap::new();
     for src in fa.node_names() {
         let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        for (set, disp) in fa.dispositions_from(&src, scope) {
+        for (set, disp) in fa.dispositions_from(&src, scope).0.iter() {
             let key = match disp {
                 Disposition::Accepted(_) => "accepted",
                 Disposition::NoRoute(_) => "no-route",

@@ -3,44 +3,31 @@
 //!
 //! A one-shot query answers once and forgets; continuous verification
 //! keeps a set of invariants *standing* against a stream of dataplane
-//! snapshots and reports only when a verdict changes. Re-evaluation is
-//! incremental at two levels:
+//! snapshots and reports only when a verdict changes.
 //!
-//! - **Class level:** every evaluation rebuilds its [`ForwardingAnalysis`]
-//!   through one shared [`ClassCache`], so a node whose FIB digest is
-//!   unchanged reuses its effective classes and only nodes whose AFTs
-//!   actually changed pay class computation. The cache's hit/miss counters
-//!   are exposed ([`StandingQueries::cache_stats`]) precisely so a test
-//!   can prove that a single-node resync invalidates that node alone.
-//!
-//! - **Pair level:** each (src, dst) reachability pair and each per-source
-//!   loop/black-hole walk keeps its last answer together with the
-//!   dependency set its exploration touched ([`crate::graph::DepSet`]).
-//!   On the next tick the layer diffs per-node `(fib digest, up,
-//!   addresses)` keys plus the link set, and re-evaluates only the pairs
-//!   whose dependencies intersect the changed nodes. A quiet tick does
-//!   zero pair work; a single changed node re-evaluates the pairs whose
-//!   propagation crosses it — work proportional to what changed, not N².
-//!   The [`StandingQueries::pair_stats`] counters make the sub-quadratic
-//!   claim testable.
+//! Re-evaluation is incremental through one mechanism: each evaluation's
+//! [`ForwardingAnalysis`] is carried forward from the previous one
+//! ([`ForwardingAnalysis::reusing`]). A node whose forwarding state is
+//! unchanged keeps its match classes, and a memoised answer — one (src,
+//! dst) reachability pair, or one source's loop or black-hole walk — is
+//! kept while its dependency set ([`crate::graph::DepSet`]) avoids every
+//! changed node. A quiet tick walks nothing; a single changed node
+//! re-walks only what crosses it — work proportional to what changed, not
+//! N². The [`StandingQueries::pair_stats`] and
+//! [`StandingQueries::cache_stats`] counters make both claims testable.
 //!
 //! Verdicts carry the coverage caveats of the snapshot they were computed
 //! from: while a telemetry stream is degraded, the verdict does not
 //! silently claim authority over nodes it cannot see.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use mfv_dataplane::Dataplane;
-use mfv_types::{IpSet, LinkId, NodeId, SimTime};
+use mfv_types::SimTime;
 
 use crate::coverage::Coverage;
-use crate::graph::{ClassCache, DepSet, ForwardingAnalysis};
-use crate::queries::{
-    blackholes_from_with_deps, loops_from_with_deps, owned_address_scope, reachability_with_deps,
-    BlackHoleFinding, LoopFinding, ReachabilityReport,
-};
+use crate::graph::ForwardingAnalysis;
+use crate::queries::{detect_blackholes_with, detect_loops_with, unreachable_pairs_with};
 
 /// The state of one standing invariant.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -77,51 +64,20 @@ impl std::fmt::Display for VerdictUpdate {
     }
 }
 
-/// Per-node change-detection key: a pair's cached answer survives a tick
-/// only if no dependency's key changed (and no link was added/removed on a
-/// dependency).
-#[derive(Clone, PartialEq, Eq)]
-struct NodeKey {
-    digest: u64,
-    up: bool,
-    addresses: BTreeSet<Ipv4Addr>,
-}
-
-/// Cached answer for one (src, dst) reachability pair.
-struct PairState {
-    deps: Arc<DepSet>,
-    /// `Some` iff the pair was not fully reachable at last evaluation.
-    failed: Option<ReachabilityReport>,
-}
-
-/// Cached per-source answer for a loop or black-hole walk.
-struct SrcState<T> {
-    deps: Arc<DepSet>,
-    findings: Vec<T>,
-}
-
 /// The standing invariants of the continuous-verification loop:
 /// full-mesh reachability, loop freedom, and black-hole freedom.
 #[derive(Default)]
 pub struct StandingQueries {
-    cache: ClassCache,
+    /// The previous evaluation's analysis, carried into the next one.
+    prev: Option<ForwardingAnalysis>,
     verdicts: BTreeMap<&'static str, Verdict>,
     evaluations: u64,
     updates: u64,
-    /// Change-detection keys from the previous evaluation.
-    node_keys: BTreeMap<NodeId, NodeKey>,
-    links: BTreeSet<LinkId>,
-    /// Pair-level verdict state, keyed by the class of traffic it speaks
-    /// for: (entry node, destination node) for reachability, entry node
-    /// for the full-space loop walk and the owned-scope black-hole walk.
-    pairs: BTreeMap<(NodeId, NodeId), PairState>,
-    loop_srcs: BTreeMap<NodeId, SrcState<LoopFinding>>,
-    hole_srcs: BTreeMap<NodeId, SrcState<BlackHoleFinding>>,
-    /// The owned-address scope the black-hole states were computed over; a
-    /// scope change invalidates all of them at once.
-    hole_scope: Option<IpSet>,
-    pair_evaluations: u64,
-    pair_reuses: u64,
+    /// Lifetime `(evaluated, reused)` walks: the analyses' memo misses
+    /// and hits.
+    pairs: (u64, u64),
+    /// Lifetime `(reused, built)` per-node match classes.
+    classes: (usize, usize),
 }
 
 impl StandingQueries {
@@ -129,11 +85,11 @@ impl StandingQueries {
         StandingQueries::default()
     }
 
-    /// `(hits, misses)` of the shared class cache — the proof surface for
-    /// single-node invalidation: after a content-preserving resync, hits
-    /// grow and misses do not.
+    /// `(reused, built)` per-node match classes over this instance's
+    /// lifetime — the proof surface for single-node invalidation: after a
+    /// content-preserving resync, reuses grow and builds do not.
     pub fn cache_stats(&self) -> (usize, usize) {
-        self.cache.stats()
+        self.classes
     }
 
     /// Evaluations performed so far.
@@ -147,7 +103,7 @@ impl StandingQueries {
     /// this is the counter that proves re-evaluation work is proportional
     /// to changed nodes, not N².
     pub fn pair_stats(&self) -> (u64, u64) {
-        (self.pair_evaluations, self.pair_reuses)
+        self.pairs
     }
 
     /// Current verdict per query, if evaluated at least once.
@@ -155,53 +111,10 @@ impl StandingQueries {
         &self.verdicts
     }
 
-    /// The nodes whose observable state differs from the previous
-    /// evaluation: changed FIB digest, liveness, or addresses; present on
-    /// an added/removed link; or added/removed entirely.
-    #[allow(clippy::type_complexity)]
-    fn changed_nodes(
-        &self,
-        dp: &Dataplane,
-    ) -> (
-        BTreeSet<NodeId>,
-        BTreeMap<NodeId, NodeKey>,
-        BTreeSet<LinkId>,
-    ) {
-        let mut keys = BTreeMap::new();
-        for (name, node) in &dp.nodes {
-            keys.insert(
-                name.clone(),
-                NodeKey {
-                    digest: node.fib_digest(),
-                    up: node.up,
-                    addresses: node.addresses.clone(),
-                },
-            );
-        }
-        let mut changed = BTreeSet::new();
-        for (name, key) in &keys {
-            if self.node_keys.get(name) != Some(key) {
-                changed.insert(name.clone());
-            }
-        }
-        for name in self.node_keys.keys() {
-            if !keys.contains_key(name) {
-                changed.insert(name.clone());
-            }
-        }
-        let links: BTreeSet<LinkId> = dp.links.iter().cloned().collect();
-        for link in links.symmetric_difference(&self.links) {
-            changed.insert(link.a.0.clone());
-            changed.insert(link.b.0.clone());
-        }
-        (changed, keys, links)
-    }
-
     /// Re-evaluates every standing query against `dp` and returns the
-    /// verdicts that changed. Classes for unchanged nodes come from the
-    /// shared cache, and pairs/walks whose dependency sets avoid every
-    /// changed node reuse their previous answer outright — re-analysis
-    /// cost is proportional to what changed.
+    /// verdicts that changed. The analysis is carried forward from the
+    /// previous evaluation, so re-analysis cost is proportional to what
+    /// changed.
     pub fn evaluate(
         &mut self,
         at: SimTime,
@@ -209,48 +122,21 @@ impl StandingQueries {
         coverage: &Coverage,
     ) -> Vec<VerdictUpdate> {
         self.evaluations += 1;
-        let fa = ForwardingAnalysis::with_cache(dp, &self.cache);
+        // The previous analysis is dropped as soon as it is carried over,
+        // so only one analysis is alive while the queries run.
+        let fa = match self.prev.take() {
+            Some(prev) => ForwardingAnalysis::reusing(dp, &prev),
+            None => ForwardingAnalysis::new(dp),
+        };
         let caveats = coverage.caveats();
+        let verdict = |holds, detail| Verdict {
+            holds,
+            detail,
+            caveats: caveats.clone(),
+        };
         let mut out = Vec::new();
 
-        // On the first evaluation `node_keys` is empty, so every node
-        // diffs as changed and everything below computes from scratch.
-        let (changed, keys, links) = self.changed_nodes(dp);
-        let dirty = |deps: &DepSet, extra: &NodeId| -> bool {
-            changed.contains(extra) || deps.intersection(&changed).next().is_some()
-        };
-
-        let nodes = fa.node_names();
-        let node_set: BTreeSet<NodeId> = nodes.iter().cloned().collect();
-        // Drop cached state for nodes that left the snapshot.
-        self.pairs
-            .retain(|(s, d), _| node_set.contains(s) && node_set.contains(d));
-        self.loop_srcs.retain(|s, _| node_set.contains(s));
-        self.hole_srcs.retain(|s, _| node_set.contains(s));
-
-        let mut pairs = Vec::new();
-        for src in &nodes {
-            for dst in &nodes {
-                if src == dst {
-                    continue;
-                }
-                let key = (src.clone(), dst.clone());
-                let reusable = self.pairs.get(&key).is_some_and(|st| !dirty(&st.deps, dst));
-                if reusable {
-                    self.pair_reuses += 1;
-                } else {
-                    self.pair_evaluations += 1;
-                    let (report, deps) = reachability_with_deps(&fa, src, dst);
-                    let failed = (!report.fully_reachable()).then_some(report);
-                    self.pairs.insert(key.clone(), PairState { deps, failed });
-                }
-                if let Some(st) = self.pairs.get(&key) {
-                    if let Some(report) = &st.failed {
-                        pairs.push(report.clone());
-                    }
-                }
-            }
-        }
+        let pairs = unreachable_pairs_with(&fa);
         let detail = match pairs.first() {
             None => format!("all {} covered node pairs reachable", {
                 let n = dp.nodes.len();
@@ -266,32 +152,11 @@ impl StandingQueries {
         self.consider(
             at,
             "reachability",
-            Verdict {
-                holds: pairs.is_empty(),
-                detail,
-                caveats: caveats.clone(),
-            },
+            verdict(pairs.is_empty(), detail),
             &mut out,
         );
 
-        let mut loops = Vec::new();
-        for src in &nodes {
-            let reusable = self
-                .loop_srcs
-                .get(src)
-                .is_some_and(|st| !dirty(&st.deps, src));
-            if reusable {
-                self.pair_reuses += 1;
-            } else {
-                self.pair_evaluations += 1;
-                let (findings, deps) = loops_from_with_deps(&fa, src);
-                self.loop_srcs
-                    .insert(src.clone(), SrcState { deps, findings });
-            }
-            if let Some(st) = self.loop_srcs.get(src) {
-                loops.extend(st.findings.iter().cloned());
-            }
-        }
+        let loops = detect_loops_with(&fa);
         let detail = match loops.first() {
             None => "no forwarding loops".to_string(),
             Some(first) => format!(
@@ -304,39 +169,11 @@ impl StandingQueries {
         self.consider(
             at,
             "loop_freedom",
-            Verdict {
-                holds: loops.is_empty(),
-                detail,
-                caveats: caveats.clone(),
-            },
+            verdict(loops.is_empty(), detail),
             &mut out,
         );
 
-        // The black-hole scope is derived from every up node's addresses;
-        // if it moved, no per-source answer can be trusted.
-        let owned = owned_address_scope(&fa);
-        if self.hole_scope.as_ref() != Some(&owned) {
-            self.hole_srcs.clear();
-            self.hole_scope = Some(owned.clone());
-        }
-        let mut holes = Vec::new();
-        for src in &nodes {
-            let reusable = self
-                .hole_srcs
-                .get(src)
-                .is_some_and(|st| !dirty(&st.deps, src));
-            if reusable {
-                self.pair_reuses += 1;
-            } else {
-                self.pair_evaluations += 1;
-                let (findings, deps) = blackholes_from_with_deps(&fa, src, &owned);
-                self.hole_srcs
-                    .insert(src.clone(), SrcState { deps, findings });
-            }
-            if let Some(st) = self.hole_srcs.get(src) {
-                holes.extend(st.findings.iter().cloned());
-            }
-        }
+        let holes = detect_blackholes_with(&fa);
         let detail = match holes.first() {
             None => "no black holes toward owned addresses".to_string(),
             Some(first) => format!(
@@ -349,16 +186,17 @@ impl StandingQueries {
         self.consider(
             at,
             "blackhole_freedom",
-            Verdict {
-                holds: holes.is_empty(),
-                detail,
-                caveats,
-            },
+            verdict(holes.is_empty(), detail),
             &mut out,
         );
 
-        self.node_keys = keys;
-        self.links = links;
+        let (hits, misses) = fa.memo_stats();
+        self.pairs.0 += misses as u64;
+        self.pairs.1 += hits as u64;
+        let (reused, built) = fa.class_stats();
+        self.classes.0 += reused;
+        self.classes.1 += built;
+        self.prev = Some(fa);
         out
     }
 
@@ -384,11 +222,12 @@ impl StandingQueries {
         let m = &mut obs.metrics;
         m.inc("verify.standing.evaluations", self.evaluations);
         m.inc("verify.standing.updates", self.updates);
-        m.inc("verify.standing.pair_evaluations", self.pair_evaluations);
-        m.inc("verify.standing.pair_reuses", self.pair_reuses);
-        let (hits, misses) = self.cache.stats();
-        m.inc("verify.standing.class_cache_hits", hits as u64);
-        m.inc("verify.standing.class_cache_misses", misses as u64);
+        let (evaluated, reused) = self.pairs;
+        m.inc("verify.standing.pair_evaluations", evaluated);
+        m.inc("verify.standing.pair_reuses", reused);
+        let (reused, built) = self.classes;
+        m.inc("verify.standing.classes_reused", reused as u64);
+        m.inc("verify.standing.classes_built", built as u64);
     }
 }
 
@@ -450,14 +289,17 @@ mod tests {
         let updates = sq.evaluate(SimTime(1_000), &dp, &cov);
         assert_eq!(updates.len(), 3, "{updates:?}");
         assert!(updates.iter().all(|u| u.verdict.holds));
-        // Unchanged snapshot: no transitions, classes all cache-hit.
-        let (h0, m0) = sq.cache_stats();
-        assert_eq!(m0, 2);
+        // Unchanged snapshot: no transitions, classes all reused.
+        let (reused0, built0) = sq.cache_stats();
+        assert_eq!(built0, 2);
         let updates = sq.evaluate(SimTime(2_000), &dp, &cov);
         assert!(updates.is_empty());
-        let (h1, m1) = sq.cache_stats();
-        assert_eq!(m1, m0, "no new class builds for an unchanged snapshot");
-        assert_eq!(h1, h0 + 2);
+        let (reused1, built1) = sq.cache_stats();
+        assert_eq!(
+            built1, built0,
+            "no new class builds for an unchanged snapshot"
+        );
+        assert_eq!(reused1, reused0 + 2);
     }
 
     #[test]
@@ -466,16 +308,20 @@ mod tests {
         let cov = full_cov();
         let dp = pair_dp();
         sq.evaluate(SimTime(1_000), &dp, &cov);
-        let (_, m0) = sq.cache_stats();
+        let (_, built0) = sq.cache_stats();
 
-        // r1 loses its route: r1's digest changes, r2's does not.
+        // r1 loses its route: r1's forwarding state changes, r2's does not.
         let mut broken = pair_dp();
         if let Some(n) = broken.nodes.get_mut(&NodeId::from("r1")) {
             n.entries.clear();
         }
         let updates = sq.evaluate(SimTime(2_000), &broken, &cov);
-        let (_, m1) = sq.cache_stats();
-        assert_eq!(m1, m0 + 1, "exactly the changed node rebuilt its classes");
+        let (_, built1) = sq.cache_stats();
+        assert_eq!(
+            built1,
+            built0 + 1,
+            "exactly the changed node rebuilt its classes"
+        );
         // Reachability and blackhole-freedom flip; loop freedom holds.
         let reach = updates.iter().find(|u| u.query == "reachability").unwrap();
         assert!(!reach.verdict.holds);
@@ -597,7 +443,7 @@ mod tests {
     }
 
     /// Cutting a link must invalidate the pairs that routed across it even
-    /// though no node's FIB digest changed.
+    /// though no node's forwarding state changed.
     #[test]
     fn link_cut_invalidates_crossing_pairs() {
         const N: usize = 4;

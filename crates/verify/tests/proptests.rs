@@ -12,8 +12,7 @@ use mfv_dataplane::Dataplane;
 use mfv_routing::rib::{Fib, FibEntry, FibNextHop};
 use mfv_types::{ExtractionStatus, IpSet, LinkId, NodeId, Prefix, RouteProtocol, SimTime};
 use mfv_verify::{
-    differential_reachability, ClassCache, Coverage, Disposition, ForwardingAnalysis,
-    StandingQueries,
+    differential_reachability, Coverage, Disposition, ForwardingAnalysis, StandingQueries,
 };
 
 /// A compact generator for random dataplanes: `n` nodes in a ring, each with
@@ -92,6 +91,38 @@ fn build_dp(shape: &DpShape) -> Dataplane {
     dp
 }
 
+/// One random snapshot delta: `action` picks a FIB clear, an added null
+/// route, a dropped entry, a liveness flip, an added address, or a link
+/// cut, applied to the node (or link) `which` selects.
+fn apply_delta(dp: &mut Dataplane, &(which, action, bits, len): &(u8, u8, u32, u8)) {
+    let names: Vec<NodeId> = dp.nodes.keys().cloned().collect();
+    let name = &names[which as usize % names.len()];
+    let Some(node) = dp.nodes.get_mut(name) else {
+        return;
+    };
+    match action % 6 {
+        0 => node.entries.clear(),
+        1 => node.entries.push(FibEntry {
+            prefix: Prefix::from_bits(bits, len),
+            proto: RouteProtocol::Static,
+            next_hops: vec![],
+        }),
+        2 => {
+            node.entries.pop();
+        }
+        3 => node.up = !node.up,
+        4 => {
+            node.addresses.insert(Ipv4Addr::from(bits));
+        }
+        _ => {
+            if !dp.links.is_empty() {
+                let cut = which as usize % dp.links.len();
+                dp.links.remove(cut);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -101,7 +132,7 @@ proptest! {
         let fa = ForwardingAnalysis::new(&dp);
         let scope = IpSet::full();
         for src in fa.node_names() {
-            let rows = fa.dispositions_from(&src, &scope);
+            let (rows, _) = fa.dispositions_from(&src, &scope);
             // Exhaustive: the classes cover the whole space...
             let total: u64 = rows.iter().map(|(s, _)| s.count()).sum();
             prop_assert_eq!(total, 1u64 << 32, "from {}", src);
@@ -121,7 +152,7 @@ proptest! {
         let ip = Ipv4Addr::from(probe);
         for src in fa.node_names() {
             let trace = fa.trace(&src, ip);
-            let rows = fa.dispositions_from(&src, &IpSet::single(ip));
+            let (rows, _) = fa.dispositions_from(&src, &IpSet::single(ip));
             prop_assert_eq!(rows.len(), 1);
             let (_, symbolic) = &rows[0];
             // The single-packet trace follows the FIRST ECMP branch, so on
@@ -178,56 +209,44 @@ proptest! {
         let first = dp.nodes.keys().next().unwrap().clone();
         dp.nodes.get_mut(&first).unwrap().up = false;
         let fa = ForwardingAnalysis::new(&dp);
-        let rows = fa.dispositions_from(&first, &IpSet::single(Ipv4Addr::from(probe)));
+        let (rows, _) = fa.dispositions_from(&first, &IpSet::single(Ipv4Addr::from(probe)));
         prop_assert_eq!(rows.len(), 1);
         prop_assert_eq!(&rows[0].1, &Disposition::NodeDown(first));
     }
 
-    // A cache warmed on one dataplane must not change the analysis of any
-    // mutated variant: cached and uncached dispositions are identical for
-    // every entry node, under random FIB mutations (cleared FIBs, extra
-    // entries, dropped entries).
+    // Carrying an analysis forward must be invisible: after each delta
+    // (FIB edits, liveness flips, address churn, link cuts), an analysis
+    // carried from the previous one — the first warmed over the full
+    // space from every source — gives the same rows and dependency sets
+    // as one built from scratch, for every source.
     #[test]
     fn cached_analysis_matches_uncached(
         shape in arb_shape(),
-        mutations in proptest::collection::vec(
+        deltas in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), any::<u32>(), 8u8..=28),
-            0..4,
+            1..6,
         ),
     ) {
-        let base = build_dp(&shape);
-        let mut variant = base.clone();
-        for (which, action, bits, len) in &mutations {
-            let names: Vec<NodeId> = variant.nodes.keys().cloned().collect();
-            let name = &names[*which as usize % names.len()];
-            let node = variant.nodes.get_mut(name).unwrap();
-            match action % 3 {
-                0 => node.entries.clear(),
-                1 => node.entries.push(FibEntry {
-                    prefix: Prefix::from_bits(*bits, *len),
-                    proto: RouteProtocol::Static,
-                    next_hops: vec![],
-                }),
-                _ => {
-                    node.entries.pop();
-                }
-            }
-        }
-
-        // Warm the cache on the base dataplane, then analyse the variant
-        // both through the cache and from scratch.
-        let cache = ClassCache::new();
-        let _warm = ForwardingAnalysis::with_cache(&base, &cache);
-        let cached = ForwardingAnalysis::with_cache(&variant, &cache);
-        let uncached = ForwardingAnalysis::new(&variant);
+        let mut dp = build_dp(&shape);
         let scope = IpSet::full();
-        for src in uncached.node_names() {
-            prop_assert_eq!(
-                cached.dispositions_from(&src, &scope),
-                uncached.dispositions_from(&src, &scope),
-                "cached analysis diverged from {}",
-                src
-            );
+        let mut prev = ForwardingAnalysis::new(&dp);
+        for src in prev.node_names() {
+            prev.dispositions_from(&src, &scope);
+        }
+        for delta in &deltas {
+            apply_delta(&mut dp, delta);
+            let carried = ForwardingAnalysis::reusing(&dp, &prev);
+            let fresh = ForwardingAnalysis::new(&dp);
+            for src in fresh.node_names() {
+                prop_assert_eq!(
+                    carried.dispositions_from(&src, &scope),
+                    fresh.dispositions_from(&src, &scope),
+                    "carried analysis diverged from {} after delta {:?}",
+                    src,
+                    delta
+                );
+            }
+            prev = carried;
         }
     }
 

@@ -121,10 +121,10 @@ fn main() -> ExitCode {
     };
 
     print!("{}", report.journal_text);
-    let (hits, misses) = report.cache_stats;
+    let (reused, built) = report.cache_stats;
     println!(
         "window {} → {}: {} verdict updates over {} evaluations, \
-         {} gaps, {} session losses, {} resyncs, class cache {hits} hits / {misses} misses",
+         {} gaps, {} session losses, {} resyncs, classes {reused} reused / {built} built",
         report.started_at,
         report.ended_at,
         report.verdict_updates.len(),

@@ -2,7 +2,7 @@
 //! loop under chaos must (a) react to every fault class, degrade coverage
 //! while streams are down, and recover; (b) replay byte-identically from
 //! the same seed; and (c) heal a sequence gap with a *single-node* resync —
-//! proven through the standing queries' class-cache counters, not by
+//! proven through the standing queries' class reuse counters, not by
 //! trusting the implementation.
 
 use model_free_verification::core::{
@@ -102,11 +102,11 @@ fn chaos_watch_replays_byte_identically() {
 }
 
 /// The incrementality proof: a sequence gap on one node's stream triggers a
-/// resync of that node only. The standing queries' class cache shows it —
-/// re-evaluation after the resync performs zero class rebuilds (misses
-/// frozen) because the resynced mirror carries the same FIB digest, while
-/// hits grow by one full sweep. A global re-analysis would rebuild every
-/// node and the miss counter would double.
+/// resync of that node only. The standing queries' class counters show it —
+/// re-evaluation after the resync performs zero class rebuilds (builds
+/// frozen) because the resynced mirror carries the same forwarding state,
+/// while reuses grow by one full sweep. A global re-analysis would rebuild
+/// every node and the build counter would double.
 #[test]
 fn seq_gap_resyncs_one_node_without_reanalysis() {
     let snapshot = scenarios::isis_line(4);
@@ -149,8 +149,8 @@ fn seq_gap_resyncs_one_node_without_reanalysis() {
     let cov = Coverage::from_status(&watcher.status(now));
     assert!(cov.is_complete());
     standing.evaluate(now, &dp, &cov);
-    let (h0, m0) = standing.cache_stats();
-    assert_eq!(m0, n, "first evaluation builds one class set per node");
+    let (reused0, built0) = standing.cache_stats();
+    assert_eq!(built0, n, "first evaluation builds one class set per node");
 
     // Drop the next delivery for one node. The quiet network only sends
     // heartbeats, so the following heartbeat exposes the sequence gap.
@@ -178,15 +178,18 @@ fn seq_gap_resyncs_one_node_without_reanalysis() {
     assert_eq!(watcher.stats().resyncs, 1);
     assert_eq!(watcher.stats().session_losses, 0);
 
-    // Re-evaluate: the resynced node's content is unchanged, so its digest
-    // hits the cache — no rebuilds anywhere (misses frozen at n), one full
-    // sweep of hits. Global re-analysis would show m1 == 2n.
+    // Re-evaluate: the resynced node's content is unchanged, so its classes
+    // are reused — no rebuilds anywhere (builds frozen at n), one full
+    // sweep of reuses. Global re-analysis would show built1 == 2n.
     let dp = watcher.dataplane(now, &emu.dataplane());
     let cov = Coverage::from_status(&watcher.status(now));
     let updates = standing.evaluate(now, &dp, &cov);
-    let (h1, m1) = standing.cache_stats();
-    assert_eq!(m1, m0, "resync must not rebuild any node's classes");
-    assert!(h1 >= h0 + n, "hits {h0} -> {h1} must grow by a full sweep");
+    let (reused1, built1) = standing.cache_stats();
+    assert_eq!(built1, built0, "resync must not rebuild any node's classes");
+    assert!(
+        reused1 >= reused0 + n,
+        "reuses {reused0} -> {reused1} must grow by a full sweep"
+    );
     // Identical content + identical coverage: no verdict transitions.
     assert!(updates.is_empty(), "{updates:?}");
 }
